@@ -7,8 +7,10 @@
 //!             [--telemetry PATH] [tune]
 //! ```
 //!
-//! Measures the three hot paths of the s-step overlap window — SpMV, the
-//! blocked Gram product and the fused recurrence update sweep — on the 7-pt
+//! Measures the hot paths of the s-step overlap window — SpMV, the blocked
+//! Gram product, one fused update sweep (`fused_update`) and the whole
+//! fused recurrence pass of a PIPE-PsCG iteration (`fused_step`, reported
+//! with its computed GB/s over the unique columns it touches) — on the 7-pt
 //! Poisson stencil at `N³` (default 256³, the CI perf-smoke problem), each
 //! at every thread count in `--threads` (default `1,4`). SpMV is measured
 //! once per storage format in `--formats` (default: all of
@@ -46,6 +48,7 @@ use pscg_bench::microbench::{gflops_per_sec, Group};
 use pscg_bench::perf_report::spmv_model_bytes_per_nnz;
 use pscg_obs::SpanKind;
 use pscg_par::{knobs, stats::PoolStats, Pool};
+use pscg_sparse::multivec::{fused_recurrence_step_with, RecurrenceFamily};
 use pscg_sparse::stencil::{poisson3d_7pt, Grid3};
 use pscg_sparse::{set_spmv_format, CsrMatrix, MultiVector, SpmvFormat};
 
@@ -62,6 +65,55 @@ struct Cell {
     /// Cost-model traffic for this format (DESIGN.md §13): what the
     /// roofline attribution will assume per nonzero.
     model_bytes_per_nnz: Option<f64>,
+    /// `fused_step` only: the rows it ran on and the computed GB/s, each
+    /// unique column counted once (read or written).
+    streamed: Option<(usize, f64)>,
+}
+
+/// Rows of the `fused_step` cell: its two families hold `4s² + 16s + 4`
+/// columns (132 at s = 4), so it runs on a prefix of the grid that keeps
+/// them near 1 GB whatever `--grid` says.
+const FUSED_STEP_MAX_ROWS: usize = 1 << 20;
+
+/// The six blocks of one power family, seeded.
+struct FamilyBlocks {
+    pow: MultiVector,
+    pow_next: MultiVector,
+    dirs: MultiVector,
+    dirs_next: MultiVector,
+    apow: Vec<MultiVector>,
+    apow_next: Vec<MultiVector>,
+}
+
+impl FamilyBlocks {
+    fn new(n: usize, s: usize, seed: usize) -> Self {
+        let block = |ncols: usize, salt: usize| {
+            let mut m = MultiVector::zeros(n, ncols);
+            for (i, v) in m.data_mut().iter_mut().enumerate() {
+                *v = ((i + seed + salt) as f64 * 0.01).cos();
+            }
+            m
+        };
+        FamilyBlocks {
+            pow: block(2 * s + 1, 1),
+            pow_next: block(2 * s + 1, 2),
+            dirs: block(s, 3),
+            dirs_next: block(s, 4),
+            apow: (0..=s).map(|w| block(s, 5 + w)).collect(),
+            apow_next: (0..=s).map(|w| block(s, 50 + w)).collect(),
+        }
+    }
+
+    fn family(&mut self) -> RecurrenceFamily<'_> {
+        RecurrenceFamily {
+            pow: &self.pow,
+            pow_next: &mut self.pow_next,
+            dirs: &self.dirs,
+            dirs_next: &mut self.dirs_next,
+            apow: &self.apow,
+            apow_next: &mut self.apow_next,
+        }
+    }
 }
 
 struct Config {
@@ -144,6 +196,19 @@ fn parse_args() -> Config {
     cfg
 }
 
+/// Runs the SpMV on a fresh pool for two seconds before anything is timed.
+/// On a 2-vCPU VM the first memory-bound cell measured on a new pool
+/// otherwise reads as serial about one run in four (and at 256³ every
+/// time): a just-spawned worker takes up to a second or so of streaming
+/// work before the two lanes really run side by side; spinning does not
+/// shorten that, streaming does.
+fn warm_up(pool: &Pool, a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
+    let until = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    while std::time::Instant::now() < until {
+        a.spmv_with(pool, x, y);
+    }
+}
+
 /// Workload of one fused update sweep: `dst = src[:, 1..s+1] + prev·B`
 /// followed by one `dst_col = src_col − X·a` basis shift.
 fn fused_flops(n: usize, s: usize) -> u64 {
@@ -180,10 +245,20 @@ fn bench_all(cfg: &Config, a: &CsrMatrix) -> Vec<Cell> {
     let alpha: Vec<f64> = (0..s).map(|k| 0.1 + 0.05 * k as f64).collect();
     let mut shift = vec![0.0; n];
 
+    // The whole recurrence pass of one PIPE-PsCG iteration: both families.
+    let nf = n.min(FUSED_STEP_MAX_ROWS);
+    let (mut ufam, mut rfam) = (FamilyBlocks::new(nf, s, 0), FamilyBlocks::new(nf, s, 7));
+    // Per family and row: s + 2 conjugation windows of s columns (2s flops
+    // each) and s + 1 shifts (2s flops); unique columns read 2s+1 + s +
+    // s(s+1), written s + s(s+1) + s+1.
+    let fs_fl = (2 * (2 * s * s * (s + 2) + 2 * s * (s + 1)) * nf) as u64;
+    let fs_bytes = (2 * (2 * s * s + 7 * s + 2) * nf * 8) as f64;
+
     let entry_format = pscg_sparse::spmv_format();
     let mut cells = Vec::new();
     for &t in &cfg.threads {
         let pool = Pool::new(t);
+        warm_up(&pool, a, &x, &mut y);
         let group = Group::new(&format!("kernels_{}cube_t{t}", cfg.grid));
         // One `bench` span per measured cell (arg = thread count); inert
         // unless --telemetry enabled recording.
@@ -208,6 +283,7 @@ fn bench_all(cfg: &Config, a: &CsrMatrix) -> Vec<Cell> {
                 gflops: gflops_per_sec(spmv_fl, m),
                 bytes_per_nnz: Some(a.spmv_traffic_bytes(fmt) / a.nnz() as f64),
                 model_bytes_per_nnz: Some(spmv_model_bytes_per_nnz(fmt, a.nnz() as f64, n as f64)),
+                streamed: None,
             });
         }
         set_spmv_format(entry_format);
@@ -227,6 +303,7 @@ fn bench_all(cfg: &Config, a: &CsrMatrix) -> Vec<Cell> {
             gflops: gflops_per_sec(gram_fl, m),
             bytes_per_nnz: None,
             model_bytes_per_nnz: None,
+            streamed: None,
         });
 
         let fu_fl = fused_flops(n, s);
@@ -250,6 +327,31 @@ fn bench_all(cfg: &Config, a: &CsrMatrix) -> Vec<Cell> {
             gflops: gflops_per_sec(fu_fl, m),
             bytes_per_nnz: None,
             model_bytes_per_nnz: None,
+            streamed: None,
+        });
+
+        let m = {
+            let _sp = pscg_obs::span_arg(SpanKind::Bench, t as u64);
+            group.bench_flops("fused_step", (s * nf) as u64, fs_fl, || {
+                let mut fams = [ufam.family(), rfam.family()];
+                fused_recurrence_step_with(
+                    &pool,
+                    std::hint::black_box(&mut fams),
+                    &bmat,
+                    &alpha,
+                    true,
+                );
+            })
+        };
+        cells.push(Cell {
+            kernel: "fused_step",
+            format: None,
+            threads: t,
+            median_secs: m,
+            gflops: gflops_per_sec(fs_fl, m),
+            bytes_per_nnz: None,
+            model_bytes_per_nnz: None,
+            streamed: Some((nf, fs_bytes / m / 1e9)),
         });
     }
     cells
@@ -329,7 +431,10 @@ fn write_json(
                 format!(", \"bytes_per_nnz\": {b:.2}, \"model_bytes_per_nnz\": {m:.2}")
             }
             (Some(b), None) => format!(", \"bytes_per_nnz\": {b:.2}"),
-            _ => String::new(),
+            _ => match c.streamed {
+                Some((rows, gbps)) => format!(", \"rows\": {rows}, \"gbps_computed\": {gbps:.2}"),
+                None => String::new(),
+            },
         };
         let _ = writeln!(
             out,
@@ -347,7 +452,7 @@ fn write_json(
             speedup(cells, "spmv", Some(f), tmax),
         ));
     }
-    for k in ["gram", "fused_update"] {
+    for k in ["gram", "fused_update", "fused_step"] {
         keys.push((cell_key(k, None, tmax), speedup(cells, k, None, tmax)));
     }
     for (i, (key, sp)) in keys.iter().enumerate() {

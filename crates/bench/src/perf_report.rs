@@ -58,6 +58,12 @@ pub fn method_by_name(name: &str) -> Option<MethodKind> {
 /// same `LocalKind::Dot` work differently, so both span kinds get the
 /// body-average dot cost. Per-call figures are body-pass averages: total
 /// modelled work of that kind in one pass divided by its node count.
+///
+/// `Combine` is the exception: its model carries the work of one whole
+/// **body pass**, not of one call. How many `combine` spans a pass records
+/// is an implementation detail — the fused recurrence pass covers what used
+/// to be a span per window — so [`kernel_rows`] multiplies it by the body
+/// passes of the solve instead of by the span count.
 pub fn models_for(
     method: MethodKind,
     s: usize,
@@ -106,8 +112,8 @@ pub fn models_for(
     if cost.combines > 0 {
         models.push(KernelModel {
             kind: SpanKind::Combine,
-            flops_per_call: cost.combine_flops_per_row / cost.combines as f64 * rows,
-            bytes_per_call: cost.combine_bytes_per_row / cost.combines as f64 * rows,
+            flops_per_call: cost.combine_flops_per_row * rows,
+            bytes_per_call: cost.combine_bytes_per_row * rows,
         });
     }
     models
@@ -204,6 +210,39 @@ pub struct PerfReport {
     pub methods: Vec<MethodPerf>,
 }
 
+/// Joins the spans with the models into report rows. Every kind is priced
+/// per recorded call except `combine`, which [`models_for`] prices per
+/// body pass: its row gets `iterations / steps` passes' worth of work,
+/// whatever the number of spans that work was recorded under.
+fn kernel_rows(
+    method: MethodKind,
+    s: usize,
+    iterations: u64,
+    spans: &SpanSet,
+    models: &[KernelModel],
+) -> Vec<KernelRow> {
+    let steps = pscg_ir::method_ir(method, s).steps.max(1);
+    let passes = iterations as f64 / steps as f64;
+    attribute(spans, models)
+        .into_iter()
+        .map(|a| {
+            let per_pass = a.kind == SpanKind::Combine;
+            let scale = if per_pass {
+                passes / a.count as f64
+            } else {
+                1.0
+            };
+            KernelRow {
+                kind: a.kind.name().to_string(),
+                count: a.count as u64,
+                total_ns: a.total_ns,
+                model_flops: a.model_flops * scale,
+                model_bytes: a.model_bytes * scale,
+            }
+        })
+        .collect()
+}
+
 /// Builds one method's attribution from an in-memory span set and
 /// telemetry stream (the `repro --perf-report` path; the binary's
 /// file-based path is [`from_dir`]).
@@ -219,16 +258,8 @@ pub fn method_perf(method: MethodKind, spans: &SpanSet, tel: &SolveTelemetry) ->
         meta.pc_flops_per_row,
         meta.pc_bytes_per_row,
     );
-    let kernels = attribute(spans, &models)
-        .into_iter()
-        .map(|a| KernelRow {
-            kind: a.kind.name().to_string(),
-            count: a.count as u64,
-            total_ns: a.total_ns,
-            model_flops: a.model_flops,
-            model_bytes: a.model_bytes,
-        })
-        .collect();
+    let iterations = tel.finish.iterations as u64;
+    let kernels = kernel_rows(method, meta.s, iterations, spans, &models);
     let overlap = window_stats(spans).map(|w| OverlapRow {
         windows: w.windows as u64,
         window_ns: w.window_ns,
@@ -240,7 +271,7 @@ pub fn method_perf(method: MethodKind, spans: &SpanSet, tel: &SolveTelemetry) ->
     MethodPerf {
         method: method.name().to_string(),
         s: meta.s as u64,
-        iterations: tel.finish.iterations as u64,
+        iterations,
         wall_ns: tel.finish.wall_ns,
         spmv_format: meta.spmv_format.to_string(),
         spmv_model_bytes_per_nnz: meta.spmv_model_bytes_per_nnz,
@@ -400,16 +431,13 @@ pub fn from_dir(dir: &Path) -> Result<PerfReport, String> {
             stream.pc_flops_per_row,
             stream.pc_bytes_per_row,
         );
-        let kernels = attribute(&spans, &models)
-            .into_iter()
-            .map(|a| KernelRow {
-                kind: a.kind.name().to_string(),
-                count: a.count as u64,
-                total_ns: a.total_ns,
-                model_flops: a.model_flops,
-                model_bytes: a.model_bytes,
-            })
-            .collect();
+        let kernels = kernel_rows(
+            method,
+            stream.s as usize,
+            stream.iterations,
+            &spans,
+            &models,
+        );
         let overlap = window_stats(&spans).map(|w| OverlapRow {
             windows: w.windows as u64,
             window_ns: w.window_ns,
@@ -829,6 +857,38 @@ mod tests {
         // Gram gets the same body-average dot cost.
         let gram = models.iter().find(|m| m.kind == SpanKind::Gram).unwrap();
         assert_eq!(gram.flops_per_call, dot.flops_per_call);
+    }
+
+    #[test]
+    fn combine_work_follows_body_passes_not_span_counts() {
+        // 12 iterations of PIPE-PsCG at s = 3 are 4 body passes; whether
+        // they were recorded under 8 spans (the fused pass and the x
+        // update) or 76 (a span per window) must not change the work.
+        let (method, s, rows) = (MethodKind::PipePscg, 3, 1000);
+        let models = models_for(method, s, SpmvFormat::Csr, rows, 6400, 1.0, 24.0);
+        let spans_of = |count: usize| SpanSet {
+            records: (0..count)
+                .map(|i| SpanRecord {
+                    kind: SpanKind::Combine,
+                    arg: 0,
+                    start_ns: 10 * i as u64,
+                    dur_ns: 5,
+                    tid: 0,
+                })
+                .collect(),
+            dropped: 0,
+        };
+        let cost = pscg_ir::costs::body_cost(&pscg_ir::method_ir(method, s));
+        for count in [8, 76] {
+            let rows_out = kernel_rows(method, s, 12, &spans_of(count), &models);
+            let combine = rows_out.iter().find(|k| k.kind == "combine").unwrap();
+            assert_eq!(combine.count, count as u64);
+            let want = 4.0 * cost.combine_bytes_per_row * rows as f64;
+            assert!(
+                (combine.model_bytes - want).abs() <= 1e-9 * want,
+                "{count} spans"
+            );
+        }
     }
 
     #[test]

@@ -21,12 +21,13 @@
 //! this core through [`PipeConfig`].
 
 use pscg_obs::{StagnationConfig, StagnationDetector};
-use pscg_sim::Context;
+use pscg_sim::{Context, RecurrenceStep};
+use pscg_sparse::multivec::RecurrenceFamily;
 use pscg_sparse::MultiVector;
 
 use crate::methods::{global_ref_norm, init_residual};
 use crate::solver::{SolveOptions, SolveResult, StopReason};
-use crate::sstep::{conjugate_window, estimate_sigma, GramPacket, ScalarWork};
+use crate::sstep::{estimate_sigma, GramPacket, ScalarWork};
 
 /// Stagnation rule: stop with [`StopReason::Stagnated`] when the relative
 /// residual improved by less than `min_ratio` over the last `window`
@@ -217,37 +218,51 @@ pub fn solve_with<C: Context>(
             break;
         }
 
-        // Lines 17–26: conjugate both direction blocks and all A-power
-        // blocks with the same β-matrix. Fresh windows come from the *old*
-        // power lists.
-        conjugate_window(ctx, &mut udirs_next, &upow, 0, &udirs, &scalar.b);
-        conjugate_window(ctx, &mut rdirs_next, &rpow, 0, &rdirs, &scalar.b);
-        for j in 0..=s {
-            conjugate_window(ctx, &mut uapow_next[j], &upow, j + 1, &uapow[j], &scalar.b);
-            conjugate_window(ctx, &mut rapow_next[j], &rpow, j + 1, &rapow[j], &scalar.b);
-        }
+        // Lines 17–33 as one fused pass over the rows: conjugate both
+        // direction blocks and all A-power blocks with the same β-matrix
+        // (fresh windows come from the *old* power lists), advance
+        // x += Q (σα), and form the fresh bases by recurrence only —
+        // rpow[j] ← rpow[j] − AQ2m[j]·α, upow[j] ← upow[j] − AQm[j]·α.
+        // The u-type directions live in the σ-scaled basis; the AQm/AQ2m
+        // blocks carry the σ factor, so the basis recurrences consume the
+        // raw α.
+        let replace = cfg
+            .replace_every
+            .is_some_and(|k| outer > 0 && outer.is_multiple_of(k));
+        scalar.scale_alpha(sigma);
+        ctx.block_recurrence_step(
+            RecurrenceStep {
+                families: &mut [
+                    RecurrenceFamily {
+                        pow: &upow,
+                        pow_next: &mut upow_next,
+                        dirs: &udirs,
+                        dirs_next: &mut udirs_next,
+                        apow: &uapow,
+                        apow_next: &mut uapow_next,
+                    },
+                    RecurrenceFamily {
+                        pow: &rpow,
+                        pow_next: &mut rpow_next,
+                        dirs: &rdirs,
+                        dirs_next: &mut rdirs_next,
+                        apow: &rapow,
+                        apow_next: &mut rapow_next,
+                    },
+                ],
+                b: &scalar.b,
+                alpha: &scalar.alpha,
+                alpha_x: &scalar.alpha_x,
+                shift: !replace,
+                extra_vma_flops_per_row: cfg.extra_flops_per_row,
+            },
+            &mut x,
+        );
         std::mem::swap(&mut udirs, &mut udirs_next);
         std::mem::swap(&mut rdirs, &mut rdirs_next);
         std::mem::swap(&mut uapow, &mut uapow_next);
         std::mem::swap(&mut rapow, &mut rapow_next);
 
-        // Line 27: x += Q (σα) — the u-type directions live in the
-        // σ-scaled basis; the AQm/AQ2m blocks carry the σ factor, so the
-        // basis recurrences below consume the raw α.
-        let alpha_x: Vec<f64> = scalar.alpha.iter().map(|a| a * sigma).collect();
-        ctx.block_gemv_acc(&udirs, &alpha_x, &mut x);
-
-        if cfg.extra_flops_per_row > 0.0 {
-            ctx.charge_local(
-                pscg_sim::LocalKind::Vma,
-                cfg.extra_flops_per_row,
-                8.0 * cfg.extra_flops_per_row,
-            );
-        }
-
-        let replace = cfg
-            .replace_every
-            .is_some_and(|k| outer > 0 && outer.is_multiple_of(k));
         if replace {
             // Non-recurrence computation: recompute the residual and the
             // leading basis columns explicitly (extra, *unoverlapped* PCs
@@ -256,24 +271,6 @@ pub fn solve_with<C: Context>(
             ctx.spmv(&x, &mut ax);
             ctx.waxpy(rpow_next.col_mut(0), -1.0, &ax, b);
             extend_powers(ctx, &mut rpow_next, &mut upow_next, 0, s, sigma);
-        } else {
-            // Lines 28–33: fresh bases by recurrence only —
-            // rpow[j] ← rpow[j] − AQ2m[j]·α, upow[j] ← upow[j] − AQm[j]·α,
-            // each column as one fused copy-and-subtract sweep.
-            for j in 0..=s {
-                ctx.block_gemv_sub_into(
-                    &rapow[j],
-                    &scalar.alpha,
-                    rpow.col(j),
-                    rpow_next.col_mut(j),
-                );
-                ctx.block_gemv_sub_into(
-                    &uapow[j],
-                    &scalar.alpha,
-                    upow.col(j),
-                    upow_next.col_mut(j),
-                );
-            }
         }
 
         // Lines 34–35: dot products of the new bases, posted non-blocking.

@@ -10,14 +10,13 @@
 //! **not** need. The allreduce is posted non-blocking before them and waited
 //! after them: one allreduce per s steps, fully overlapped with s SPMVs.
 
-use pscg_sim::Context;
+use pscg_sim::{Context, RecurrenceStep};
+use pscg_sparse::multivec::RecurrenceFamily;
 use pscg_sparse::MultiVector;
 
 use crate::methods::{global_ref_norm, init_residual};
 use crate::solver::{SolveOptions, SolveResult, StopReason};
-use crate::sstep::{
-    conjugate_window, estimate_sigma, extend_scaled_powers, GramPacket, ScalarWork,
-};
+use crate::sstep::{estimate_sigma, extend_scaled_powers, GramPacket, ScalarWork};
 
 /// Solves `A x = b` with PIPE-sCG. `x0` defaults to zero.
 pub fn solve<C: Context>(
@@ -165,28 +164,30 @@ fn solve_inner<C: Context>(
             break;
         }
 
-        // Lines 14–20: conjugate the direction block and every AQm[j]
-        // against the previous family with the same β-matrix. AQm[j]'s
-        // fresh window is {A^{j+1}r, …, A^{j+s}r} = pow[j+1 .. j+s].
-        conjugate_window(ctx, &mut dirs_next, &pow, 0, &dirs, &scalar.b);
-        for j in 0..=s {
-            conjugate_window(ctx, &mut apow_next[j], &pow, j + 1, &apow[j], &scalar.b);
-        }
+        // Lines 14–25 as one fused pass over the rows: conjugate the
+        // direction block and every AQm[j] against the previous family
+        // with the same β-matrix (AQm[j]'s fresh window is
+        // {A^{j+1}r, …, A^{j+s}r} = pow[j+1 .. j+s]), advance x += Q (σα),
+        // and form the new basis by recurrence only —
+        // A^j r_{i+1} = A^j r_i − AQm[j]·α for j = 0..=s. No SPMV. The
+        // directions live in the σ-scaled basis; the AQm blocks carry the
+        // σ factor, so the basis recurrences consume the raw α.
+        scalar.scale_alpha(sigma);
+        recurrence_step(
+            ctx,
+            &scalar,
+            RecurrenceFamily {
+                pow: &pow,
+                pow_next: &mut pow_next,
+                dirs: &dirs,
+                dirs_next: &mut dirs_next,
+                apow: &apow,
+                apow_next: &mut apow_next,
+            },
+            &mut x,
+        );
         std::mem::swap(&mut dirs, &mut dirs_next);
         std::mem::swap(&mut apow, &mut apow_next);
-
-        // Line 21: x += Q (σα) — the directions live in the σ-scaled
-        // basis; the AQm blocks carry the σ factor, so the basis
-        // recurrences below consume the raw α.
-        let alpha_x: Vec<f64> = scalar.alpha.iter().map(|a| a * sigma).collect();
-        ctx.block_gemv_acc(&dirs, &alpha_x, &mut x);
-
-        // Lines 22–25: the new basis by recurrence only —
-        // A^j r_{i+1} = A^j r_i − AQm[j]·α for j = 0..=s, each column as
-        // one fused copy-and-subtract sweep. No SPMV.
-        for j in 0..=s {
-            ctx.block_gemv_sub_into(&apow[j], &scalar.alpha, pow.col(j), pow_next.col_mut(j));
-        }
 
         // Line 26–27: dot products of the new basis, posted non-blocking.
         let pkt = GramPacket::assemble(ctx, s, &pow_next, &pow_next, &dirs);
@@ -213,6 +214,26 @@ fn solve_inner<C: Context>(
         counters: *ctx.counters(),
         method: if use_mpk { "PIPE-sCG+MPK" } else { "PIPE-sCG" },
     }
+}
+
+/// The single-family recurrence phase (always shifting, no extra charge).
+fn recurrence_step<C: Context>(
+    ctx: &mut C,
+    scalar: &ScalarWork,
+    family: RecurrenceFamily<'_>,
+    x: &mut [f64],
+) {
+    ctx.block_recurrence_step(
+        RecurrenceStep {
+            families: &mut [family],
+            b: &scalar.b,
+            alpha: &scalar.alpha,
+            alpha_x: &scalar.alpha_x,
+            shift: true,
+            extra_vma_flops_per_row: 0.0,
+        },
+        x,
+    );
 }
 
 /// Deliberately mis-scheduled PIPE-sCG variants.
@@ -332,19 +353,22 @@ pub mod broken {
                 break;
             }
 
-            conjugate_window(ctx, &mut dirs_next, &pow, 0, &dirs, &scalar.b);
-            for j in 0..=s {
-                conjugate_window(ctx, &mut apow_next[j], &pow, j + 1, &apow[j], &scalar.b);
-            }
+            scalar.scale_alpha(sigma);
+            recurrence_step(
+                ctx,
+                &scalar,
+                RecurrenceFamily {
+                    pow: &pow,
+                    pow_next: &mut pow_next,
+                    dirs: &dirs,
+                    dirs_next: &mut dirs_next,
+                    apow: &apow,
+                    apow_next: &mut apow_next,
+                },
+                &mut x,
+            );
             std::mem::swap(&mut dirs, &mut dirs_next);
             std::mem::swap(&mut apow, &mut apow_next);
-
-            let alpha_x: Vec<f64> = scalar.alpha.iter().map(|a| a * sigma).collect();
-            ctx.block_gemv_acc(&dirs, &alpha_x, &mut x);
-
-            for j in 0..=s {
-                ctx.block_gemv_sub_into(&apow[j], &scalar.alpha, pow.col(j), pow_next.col_mut(j));
-            }
 
             let pkt = GramPacket::assemble(ctx, s, &pow_next, &pow_next, &dirs);
             pending = post(ctx, &pkt.pack(), mode);

@@ -113,8 +113,8 @@ pub fn solve<C: Context>(
         conjugate_window(ctx, &mut udirs_next, &upow, 0, &udirs, &scalar.b);
         std::mem::swap(&mut udirs, &mut udirs_next);
         // σ-scaled basis: x advances by σ·α.
-        let alpha_x: Vec<f64> = scalar.alpha.iter().map(|a| a * sigma).collect();
-        ctx.block_gemv_acc(&udirs, &alpha_x, &mut x);
+        scalar.scale_alpha(sigma);
+        ctx.block_gemv_acc(&udirs, &scalar.alpha_x, &mut x);
 
         // Lines 12–14 / 19–21: fresh residual and preconditioned basis —
         // the s+1 PCs and s+1 SPMVs.

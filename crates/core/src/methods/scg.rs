@@ -113,8 +113,8 @@ pub fn solve<C: Context>(
         conjugate_window(ctx, &mut dirs_next, &pow, 0, &dirs, &scalar.b);
         std::mem::swap(&mut dirs, &mut dirs_next);
         // The directions live in the σ-scaled basis: x advances by σ·α.
-        let alpha_x: Vec<f64> = scalar.alpha.iter().map(|a| a * sigma).collect();
-        ctx.block_gemv_acc(&dirs, &alpha_x, &mut x);
+        scalar.scale_alpha(sigma);
+        ctx.block_gemv_acc(&dirs, &scalar.alpha_x, &mut x);
 
         // Lines 11–12 / 17–18: fresh residual and basis, s+1 SPMVs.
         ctx.spmv(&x, &mut ax);

@@ -118,8 +118,8 @@ pub fn solve<C: Context>(
         // Lines 12–13 / 21–22: x += P(σα) and the recurrence residual
         // r ← r − AP·α (this replaces the extra SPMV of Algorithm 2; the
         // AP block carries the σ factor, so it consumes the raw α).
-        let alpha_x: Vec<f64> = scalar.alpha.iter().map(|a| a * sigma).collect();
-        ctx.block_gemv_acc(&dirs, &alpha_x, &mut x);
+        scalar.scale_alpha(sigma);
+        ctx.block_gemv_acc(&dirs, &scalar.alpha_x, &mut x);
         ctx.block_gemv_sub(&adirs, &scalar.alpha, pow.col_mut(0));
 
         // Lines 14–15 / 23–24: rebuild the powers with exactly s SPMVs.

@@ -203,6 +203,10 @@ pub struct ScalarWork {
     pub b: DenseMatrix,
     /// Step coefficients for the upcoming solution update.
     pub alpha: Vec<f64>,
+    /// `σ·α`, the coefficients of `x += Q·(σα)` in the σ-scaled basis
+    /// (kept here so the update allocates nothing per pass; filled by
+    /// [`ScalarWork::scale_alpha`]).
+    pub alpha_x: Vec<f64>,
 }
 
 /// Scalar-work failure: the `s × s` system was singular or produced
@@ -219,6 +223,15 @@ impl ScalarWork {
             w: None,
             b: DenseMatrix::zeros(s, s),
             alpha: vec![0.0; s],
+            alpha_x: vec![0.0; s],
+        }
+    }
+
+    /// Refreshes [`ScalarWork::alpha_x`] `= σ·α` after a successful
+    /// [`ScalarWork::step`].
+    pub fn scale_alpha(&mut self, sigma: f64) {
+        for (ax, a) in self.alpha_x.iter_mut().zip(&self.alpha) {
+            *ax = a * sigma;
         }
     }
 

@@ -24,6 +24,7 @@ use pscg_obs as obs;
 use pscg_obs::SpanKind;
 use pscg_sparse::dense::DenseMatrix;
 use pscg_sparse::kernels;
+use pscg_sparse::multivec::{fused_recurrence_step, RecurrenceFamily};
 use pscg_sparse::op::Operator;
 use pscg_sparse::{CsrMatrix, MultiVector};
 
@@ -96,6 +97,27 @@ pub enum BuddyRecovery {
         /// preceded the first checkpoint (restart from scratch).
         x: Option<Vec<f64>>,
     },
+}
+
+/// One recurrence phase of a pipelined s-step iteration, as
+/// [`Context::block_recurrence_step`] runs it.
+pub struct RecurrenceStep<'a, 'f> {
+    /// The power families (one for PIPE-sCG, the u-type then the r-type
+    /// list for PIPE-PsCG). The solution update uses the first family's
+    /// new direction block.
+    pub families: &'a mut [RecurrenceFamily<'f>],
+    /// Conjugation matrix `B` of the scalar work.
+    pub b: &'a DenseMatrix,
+    /// Step coefficients `α` of the basis shifts.
+    pub alpha: &'a [f64],
+    /// `σ·α`, the coefficients of the solution update `x += Q·(σα)`.
+    pub alpha_x: &'a [f64],
+    /// False on a residual-replacement pass: conjugate only, the caller
+    /// recomputes the next basis explicitly.
+    pub shift: bool,
+    /// Extra VMA flops per row charged after the solution update (a
+    /// method whose Table I count exceeds what the shared core does).
+    pub extra_vma_flops_per_row: f64,
 }
 
 /// The SPMD execution context (see module docs).
@@ -362,19 +384,7 @@ pub trait Context {
     ) {
         let _sp = obs::span(SpanKind::Combine);
         dst.combine_window(src, off, prev, b);
-        for j in 0..dst.ncols() {
-            let (bs, bd) = (self.buf_of(src.col(off + j)), self.buf_of(dst.col(j)));
-            self.charge_local_rw(LocalKind::Vma, 0.0, 16.0, [bs, BufId::ANON], bd);
-        }
-        let (k, m) = (prev.ncols() as f64, dst.ncols() as f64);
-        let (bx, by) = (self.buf_of_multi(dst), self.buf_of_multi(prev));
-        self.charge_local_rw(
-            LocalKind::Vma,
-            2.0 * k * m,
-            8.0 * (k + 2.0 * m),
-            [by, bx],
-            bx,
-        );
+        charge_combine(self, dst, src, off, prev);
     }
 
     /// Fused basis shift `dst = src − X·a` — the power-list copy and the
@@ -383,11 +393,54 @@ pub trait Context {
     fn block_gemv_sub_into(&mut self, x: &MultiVector, a: &[f64], src: &[f64], dst: &mut [f64]) {
         let _sp = obs::span(SpanKind::Combine);
         x.gemv_sub_into(a, src, dst);
-        let (bs, bd) = (self.buf_of(src), self.buf_of(dst));
-        self.charge_local_rw(LocalKind::Vma, 0.0, 16.0, [bs, BufId::ANON], bd);
-        let k = x.ncols() as f64;
-        let (bx, by) = (self.buf_of_multi(x), self.buf_of(dst));
-        self.charge_local_rw(LocalKind::Vma, 2.0 * k, 8.0 * (k + 2.0), [bx, by], by);
+        charge_gemv_sub_into(self, x, src, dst);
+    }
+
+    /// The whole recurrence phase of one pipelined s-step iteration: every
+    /// conjugation window and every basis shift of `step.families` in one
+    /// fused pass over the rows ([`fused_recurrence_step`]), and the
+    /// solution update `x += Q·(σα)` with the new directions.
+    ///
+    /// Trace-wise this is the sequence it replaces, op for op: the
+    /// [`Context::block_combine`] charges of the direction blocks, then of
+    /// the A-power blocks window by window; the solution update as its own
+    /// [`Context::block_gemv_acc`] call; the optional extra VMA charge; and
+    /// the [`Context::block_gemv_sub_into`] charges window by window, last
+    /// family first. Engines do not override it.
+    fn block_recurrence_step(&mut self, step: RecurrenceStep<'_, '_>, x: &mut [f64]) {
+        let RecurrenceStep {
+            families,
+            b,
+            alpha,
+            alpha_x,
+            shift,
+            extra_vma_flops_per_row: extra,
+        } = step;
+        {
+            let _sp = obs::span(SpanKind::Combine);
+            fused_recurrence_step(families, b, alpha, shift);
+        }
+        let families = &*families;
+        for f in families {
+            charge_combine(self, f.dirs_next, f.pow, 0, f.dirs);
+        }
+        let nw = families[0].apow.len();
+        for w in 0..nw {
+            for f in families {
+                charge_combine(self, &f.apow_next[w], f.pow, w + 1, &f.apow[w]);
+            }
+        }
+        self.block_gemv_acc(families[0].dirs_next, alpha_x, x);
+        if extra > 0.0 {
+            self.charge_local(LocalKind::Vma, extra, 8.0 * extra);
+        }
+        if shift {
+            for w in 0..nw {
+                for f in families.iter().rev() {
+                    charge_gemv_sub_into(self, &f.apow_next[w], f.pow.col(w), f.pow_next.col(w));
+                }
+            }
+        }
     }
 
     /// Local Gram product `XᵀY`; combine entries with an allreduce.
@@ -440,6 +493,45 @@ pub trait Context {
         );
         x.dot_vec(v)
     }
+}
+
+/// The cost declarations of one conjugation window
+/// `dst = src[:, off..] + prev·B`: a copy per column, then the LC.
+fn charge_combine<C: Context + ?Sized>(
+    ctx: &mut C,
+    dst: &MultiVector,
+    src: &MultiVector,
+    off: usize,
+    prev: &MultiVector,
+) {
+    for j in 0..dst.ncols() {
+        let (bs, bd) = (ctx.buf_of(src.col(off + j)), ctx.buf_of(dst.col(j)));
+        ctx.charge_local_rw(LocalKind::Vma, 0.0, 16.0, [bs, BufId::ANON], bd);
+    }
+    let (k, m) = (prev.ncols() as f64, dst.ncols() as f64);
+    let (bx, by) = (ctx.buf_of_multi(dst), ctx.buf_of_multi(prev));
+    ctx.charge_local_rw(
+        LocalKind::Vma,
+        2.0 * k * m,
+        8.0 * (k + 2.0 * m),
+        [by, bx],
+        bx,
+    );
+}
+
+/// The cost declarations of one basis shift `dst = src − X·a`: the copy,
+/// then the GEMV.
+fn charge_gemv_sub_into<C: Context + ?Sized>(
+    ctx: &mut C,
+    x: &MultiVector,
+    src: &[f64],
+    dst: &[f64],
+) {
+    let (bs, bd) = (ctx.buf_of(src), ctx.buf_of(dst));
+    ctx.charge_local_rw(LocalKind::Vma, 0.0, 16.0, [bs, BufId::ANON], bd);
+    let k = x.ncols() as f64;
+    let (bx, by) = (ctx.buf_of_multi(x), ctx.buf_of(dst));
+    ctx.charge_local_rw(LocalKind::Vma, 2.0 * k, 8.0 * (k + 2.0), [bx, by], by);
 }
 
 /// Numerical-invariant probe state (see [`SimCtx::enable_probes`]).

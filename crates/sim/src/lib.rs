@@ -39,7 +39,7 @@ pub use collective::{
     AllreduceModel, CommError, CommId, InflightTracker, RankFailure, ReduceTimeout,
     ScheduleViolation, WaitOutcome,
 };
-pub use context::{BuddyRecovery, Context, OpCounters, ReduceHandle, SimCtx};
+pub use context::{BuddyRecovery, Context, OpCounters, RecurrenceStep, ReduceHandle, SimCtx};
 pub use machine::Machine;
 pub use noise::NoiseModel;
 pub use profile::{Layout, MatrixProfile, SpmvWork};

@@ -51,48 +51,21 @@ pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// `y += a·x`, manually unrolled 4× with a scalar tail — the streaming
-/// update body of the fused s-step sweeps. Elements are independent (no
-/// cross-element accumulation), so unrolling cannot change rounding: this
-/// is bitwise identical to [`axpy`] and exists purely to keep four
-/// load/FMA/store pipelines in flight per iteration.
+/// [`axpy`] under the name the block update sweeps call it by. Elements
+/// are independent, so a plain slice-zip loop (no index bounds checks,
+/// vectorisable) is the one formulation needed.
 #[inline]
 pub fn axpy_unrolled4(a: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len();
-    let blocks = n / 4 * 4;
-    let mut i = 0;
-    while i < blocks {
-        y[i] += a * x[i];
-        y[i + 1] += a * x[i + 1];
-        y[i + 2] += a * x[i + 2];
-        y[i + 3] += a * x[i + 3];
-        i += 4;
-    }
-    while i < n {
-        y[i] += a * x[i];
-        i += 1;
-    }
+    axpy(a, x, y);
 }
 
-/// `y -= a·x`, manually unrolled 4× with a scalar tail (see
-/// [`axpy_unrolled4`]; bitwise identical to the plain loop).
+/// `y -= a·x`, the subtracting twin of [`axpy`] (bitwise identical to the
+/// plain indexed loop).
 #[inline]
 pub fn axmy_unrolled4(a: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
-    let n = x.len();
-    let blocks = n / 4 * 4;
-    let mut i = 0;
-    while i < blocks {
-        y[i] -= a * x[i];
-        y[i + 1] -= a * x[i + 1];
-        y[i + 2] -= a * x[i + 2];
-        y[i + 3] -= a * x[i + 3];
-        i += 4;
-    }
-    while i < n {
-        y[i] -= a * x[i];
-        i += 1;
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi -= a * xi;
     }
 }
 

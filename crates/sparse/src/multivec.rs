@@ -15,6 +15,12 @@
 //! partials in chunk order. Both are bitwise independent of the thread
 //! count, and a single-chunk problem reproduces the unchunked serial
 //! result exactly.
+//!
+//! [`fused_recurrence_step`] goes one step further for the pipelined s-step
+//! methods: the whole post-reduction recurrence phase — every conjugation
+//! window and every basis shift — is one pass that walks each row chunk in
+//! cache-sized sub-blocks, so each input column is read from memory once
+//! per iteration (DESIGN.md §6).
 
 use pscg_par::{chunk_count, chunk_range, knobs, DisjointMut, Pool};
 
@@ -393,6 +399,275 @@ impl MultiVector {
     }
 }
 
+/// One power family of the pipelined s-step recurrence phase: the basis
+/// `pow[j] = Aʲr`, the direction block `dirs` and its A-power blocks
+/// `apow[w] = A^{w+1}·dirs`, each with the buffer its successor is written
+/// to. PIPE-sCG carries one family; PIPE-PsCG carries two (the u-type and
+/// the r-type lists) that share the conjugation matrix and step vector.
+pub struct RecurrenceFamily<'a> {
+    /// Current basis, at least `2s + 1` columns.
+    pub pow: &'a MultiVector,
+    /// Next basis; columns `0..=s` are written when the pass shifts.
+    pub pow_next: &'a mut MultiVector,
+    /// Previous direction block (`s` columns).
+    pub dirs: &'a MultiVector,
+    /// Conjugated direction block.
+    pub dirs_next: &'a mut MultiVector,
+    /// Previous A-power blocks (`s + 1` blocks of `s` columns).
+    pub apow: &'a [MultiVector],
+    /// Conjugated A-power blocks.
+    pub apow_next: &'a mut [MultiVector],
+}
+
+/// Families one fused pass can carry (PIPE-PsCG's dual lists).
+const MAX_FAMILIES: usize = 2;
+
+/// Output blocks whose write handles fit the fused pass's stack array: two
+/// families up to `s = 15`. A larger `s` costs one heap allocation per
+/// call instead.
+const INLINE_OUTPUTS: usize = MAX_FAMILIES * 18;
+
+/// Cache budget of one sub-block of the fused pass: rows are sized so that
+/// every column one family touches fits in this many bytes, which keeps
+/// the freshly conjugated `apow_next` rows and the overlapping `pow`
+/// windows resident in a private L2 between their uses.
+const FUSED_BLOCK_BYTES: usize = 256 * 1024;
+
+/// Rows per sub-block for `s`-column blocks: [`FUSED_BLOCK_BYTES`] over the
+/// live columns of one family, a multiple of 8, at least 64.
+fn fused_block_rows(s: usize) -> usize {
+    // pow 2s+1, dirs + dirs_next 2s, apow + apow_next 2s(s+1), pow_next s+1.
+    let live_cols = 2 * s * s + 7 * s + 2;
+    (FUSED_BLOCK_BYTES / (8 * live_cols) / 8 * 8).max(64)
+}
+
+/// One accumulation step of [`lincomb_rows`]: `acc ± c·v`, the product
+/// rounded before the sum exactly as in `y[i] += c * x[i]`.
+#[inline(always)]
+fn lincomb_term<const SUB: bool>(acc: f64, c: f64, v: f64) -> f64 {
+    if SUB {
+        acc - c * v
+    } else {
+        acc + c * v
+    }
+}
+
+/// `dst[i] = (…((base[i] ± c₀·x₀[i]) ± c₁·x₁[i]) …)` for `N` terms, where
+/// `base` is `src` for the first group of a column and `dst` itself after.
+#[inline(always)]
+fn lincomb_group<const N: usize, const SUB: bool>(
+    dst: &mut [f64],
+    src: Option<&[f64]>,
+    coef: &[f64],
+    cols: &[&[f64]],
+) {
+    let len = dst.len();
+    let coef: [f64; N] = std::array::from_fn(|t| coef[t]);
+    let cols: [&[f64]; N] = std::array::from_fn(|t| &cols[t][..len]);
+    match src {
+        Some(src) => {
+            let src = &src[..len];
+            for i in 0..len {
+                let mut acc = src[i];
+                for t in 0..N {
+                    acc = lincomb_term::<SUB>(acc, coef[t], cols[t][i]);
+                }
+                dst[i] = acc;
+            }
+        }
+        None => {
+            for i in 0..len {
+                let mut acc = dst[i];
+                for t in 0..N {
+                    acc = lincomb_term::<SUB>(acc, coef[t], cols[t][i]);
+                }
+                dst[i] = acc;
+            }
+        }
+    }
+}
+
+/// `dst = src ± Σₖ coef(k)·col(k)` over equally long row slices, `k`
+/// ascending and zero coefficients skipped. Per element this is the
+/// accumulation chain of a copy followed by one AXPY pass per `k`
+/// (`combine_window`, `gemv_sub_into`) — same operations, same order, same
+/// roundings — but up to four terms are folded per sweep, so `dst` is
+/// stored once per group instead of once per term.
+#[inline]
+fn lincomb_rows<'c, const SUB: bool>(
+    dst: &mut [f64],
+    src: &[f64],
+    nterms: usize,
+    coef: impl Fn(usize) -> f64,
+    col: impl Fn(usize) -> &'c [f64],
+) {
+    let mut base = Some(src);
+    let mut k = 0;
+    while k < nterms {
+        let mut cs = [0.0; 4];
+        let mut xs: [&[f64]; 4] = [&[]; 4];
+        let mut g = 0;
+        while k < nterms && g < 4 {
+            let c = coef(k);
+            // pscg-lint: allow(float-eq, exact sparsity skip keeping accumulation chains bitwise-equal)
+            if c != 0.0 {
+                (cs[g], xs[g]) = (c, col(k));
+                g += 1;
+            }
+            k += 1;
+        }
+        match g {
+            0 => break,
+            1 => lincomb_group::<1, SUB>(dst, base, &cs, &xs),
+            2 => lincomb_group::<2, SUB>(dst, base, &cs, &xs),
+            3 => lincomb_group::<3, SUB>(dst, base, &cs, &xs),
+            _ => lincomb_group::<4, SUB>(dst, base, &cs, &xs),
+        }
+        base = None;
+    }
+    if let Some(src) = base {
+        dst.copy_from_slice(src);
+    }
+}
+
+/// The whole recurrence phase of one pipelined s-step iteration as a single
+/// pass over the rows: for every family, conjugate the direction block and
+/// all `s + 1` A-power blocks (`dirs_next = pow[:, 0..s] + dirs·B`,
+/// `apow_next[w] = pow[:, w+1..w+1+s] + apow[w]·B`) and, when `shift` is
+/// set, form the next basis `pow_next[w] = pow[w] − apow_next[w]·α` for
+/// `w = 0..=s`. A residual-replacement pass conjugates only
+/// (`shift = false`) and recomputes its basis explicitly.
+///
+/// Each row chunk is walked in sub-blocks small enough to stay
+/// cache-resident; per sub-block and family every conjugation runs first,
+/// then every shift reads the `apow_next` rows just written. Each input
+/// column is therefore streamed from memory once and each output written
+/// once, instead of once per window that touches it. Per element the
+/// arithmetic is exactly that of [`MultiVector::combine_window`] followed
+/// by [`MultiVector::gemv_sub_into`] (copy, then `k` ascending, zero
+/// coefficients skipped), so the results are bitwise identical to that
+/// sequence at every thread count. The call does not allocate.
+pub fn fused_recurrence_step(
+    families: &mut [RecurrenceFamily<'_>],
+    b: &DenseMatrix,
+    alpha: &[f64],
+    shift: bool,
+) {
+    fused_recurrence_step_with(&pscg_par::global(), families, b, alpha, shift)
+}
+
+/// [`fused_recurrence_step`] on an explicit pool.
+pub fn fused_recurrence_step_with(
+    pool: &Pool,
+    families: &mut [RecurrenceFamily<'_>],
+    b: &DenseMatrix,
+    alpha: &[f64],
+    shift: bool,
+) {
+    let s = b.nrows();
+    assert_eq!(b.ncols(), s, "fused step: B must be square");
+    assert_eq!(alpha.len(), s, "fused step: coefficient length");
+    assert!(
+        (1..=MAX_FAMILIES).contains(&families.len()),
+        "fused step: one or two families"
+    );
+    let n = families[0].pow.len;
+    let nw = families[0].apow.len();
+
+    // Write handles per family: dirs_next, the nw apow_next blocks,
+    // pow_next. Unused slots wrap an empty slice.
+    let per_family = nw + 2;
+    let nouts = families.len() * per_family;
+    let mut inline: [DisjointMut<'_, f64>; INLINE_OUTPUTS] =
+        std::array::from_fn(|_| DisjointMut::new(&mut []));
+    let mut spill = Vec::new();
+    let outs: &mut [DisjointMut<'_, f64>] = if nouts <= INLINE_OUTPUTS {
+        &mut inline[..nouts]
+    } else {
+        spill.resize_with(nouts, || DisjointMut::new(&mut []));
+        &mut spill
+    };
+    let mut ins: [Option<(&MultiVector, &MultiVector, &[MultiVector])>; MAX_FAMILIES] =
+        [None; MAX_FAMILIES];
+    for (f, fam) in families.iter_mut().enumerate() {
+        let shaped = |m: &MultiVector| m.len == n && m.ncols == s;
+        assert!(
+            fam.apow.len() == nw && fam.apow_next.len() == nw,
+            "fused step: A-power block count"
+        );
+        assert!(
+            fam.pow.len == n && fam.pow.ncols >= nw + s,
+            "fused step: pow window"
+        );
+        assert!(
+            fam.pow_next.len == n && (!shift || fam.pow_next.ncols >= nw),
+            "fused step: pow_next columns"
+        );
+        assert!(
+            shaped(fam.dirs)
+                && shaped(fam.dirs_next)
+                && fam.apow.iter().all(shaped)
+                && fam.apow_next.iter().all(shaped),
+            "fused step: block shape mismatch"
+        );
+        ins[f] = Some((fam.pow, fam.dirs, fam.apow));
+        let out = &mut outs[f * per_family..(f + 1) * per_family];
+        out[0] = DisjointMut::new(&mut fam.dirs_next.data);
+        for (o, blk) in out[1..=nw].iter_mut().zip(fam.apow_next.iter_mut()) {
+            *o = DisjointMut::new(&mut blk.data);
+        }
+        out[nw + 1] = DisjointMut::new(&mut fam.pow_next.data);
+    }
+    let outs = &*outs;
+    let block_rows = fused_block_rows(s);
+
+    run_row_chunks(pool, n, &|clo, chi| {
+        for &(pow, dirs, apow) in ins.iter().flatten() {
+            trace_read(pow.data());
+            trace_read(dirs.data());
+            apow.iter().for_each(|m| trace_read(m.data()));
+        }
+        let mut lo = clo;
+        while lo < chi {
+            let hi = (lo + block_rows).min(chi);
+            for (f, &(pow, dirs, apow)) in ins.iter().flatten().enumerate() {
+                let out = &outs[f * per_family..(f + 1) * per_family];
+                // Rows `[lo, hi)` of column `col` of output block `blk`.
+                // SAFETY: row chunks are disjoint and so are the sub-blocks
+                // of one chunk, so no other job touches these rows; within
+                // this job a column's rows are mutably borrowed by one
+                // statement at a time, and the shift phase re-borrows the
+                // apow_next columns it only reads while writing to a
+                // different block.
+                let rows =
+                    |blk: usize, col: usize| unsafe { out[blk].range(col * n + lo, col * n + hi) };
+                let conjugate = |blk: usize, off: usize, prev: &MultiVector| {
+                    for j in 0..s {
+                        let src = &pow.col(off + j)[lo..hi];
+                        let (coef, col) = (|k| b.get(k, j), |k| &prev.col(k)[lo..hi]);
+                        lincomb_rows::<false>(rows(blk, j), src, s, coef, col);
+                    }
+                };
+                conjugate(0, 0, dirs);
+                for (w, prev) in apow.iter().enumerate() {
+                    conjugate(1 + w, w + 1, prev);
+                }
+                if !shift {
+                    continue;
+                }
+                // The shifts read back the apow_next rows this job wrote a
+                // moment ago, while they are still cache-resident.
+                for w in 0..nw {
+                    let src = &pow.col(w)[lo..hi];
+                    let (coef, col) = (|k| alpha[k], |k| &*rows(1 + w, k));
+                    lincomb_rows::<true>(rows(nw + 1, w), src, s, coef, col);
+                }
+            }
+            lo = hi;
+        }
+    });
+}
+
 /// Runs `body(chunk_lo, chunk_hi)` over the fixed row chunks of `[0, n)`;
 /// inline when a single chunk suffices or the pool is serial.
 fn run_row_chunks(pool: &Pool, n: usize, body: &(dyn Fn(usize, usize) + Sync)) {
@@ -555,6 +830,94 @@ mod tests {
         for i in 0..2 {
             for j in 0..2 {
                 assert_eq!(sub.get(i, j), full.get(i, j + 1));
+            }
+        }
+    }
+
+    /// A seeded family set: `(pow, pow_next, dirs, dirs_next, apow, apow_next)`.
+    type Blocks = (
+        MultiVector,
+        MultiVector,
+        MultiVector,
+        MultiVector,
+        Vec<MultiVector>,
+        Vec<MultiVector>,
+    );
+
+    fn random_family(rng: &mut crate::SplitMix64, n: usize, s: usize) -> Blocks {
+        let mut block = |ncols: usize| {
+            let mut m = MultiVector::zeros(n, ncols);
+            m.data_mut()
+                .iter_mut()
+                .for_each(|v| *v = rng.uniform(-1.0, 1.0));
+            m
+        };
+        let (pow, pow_next) = (block(2 * s + 1), block(2 * s + 1));
+        let (dirs, dirs_next) = (block(s), block(s));
+        let apow = (0..=s).map(|_| block(s)).collect();
+        let apow_next = (0..=s).map(|_| block(s)).collect();
+        (pow, pow_next, dirs, dirs_next, apow, apow_next)
+    }
+
+    #[test]
+    fn fused_recurrence_step_is_bitwise_the_unfused_sequence() {
+        // Row counts below, at and across the 4096-row chunk and the
+        // sub-blocks inside it; s = 5 needs two term groups per column.
+        let mut rng = crate::SplitMix64::new(0xf05e_d57e);
+        for (n, s) in [(1, 1), (63, 2), (777, 3), (4099, 4), (9001, 5)] {
+            let mut b = DenseMatrix::zeros(s, s);
+            for i in 0..s {
+                for j in 0..s {
+                    // Exact zeros exercise the skipped-coefficient path.
+                    let zero = (i + 2 * j) % 4 == 3;
+                    b.set(i, j, if zero { 0.0 } else { rng.uniform(-1.0, 1.0) });
+                }
+            }
+            let mut alpha: Vec<f64> = (0..s).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            alpha[s / 2] = if s > 2 { 0.0 } else { alpha[s / 2] };
+            for (nfam, shift) in [(1, true), (2, true), (2, false)] {
+                let mut want: Vec<Blocks> =
+                    (0..nfam).map(|_| random_family(&mut rng, n, s)).collect();
+                let mut got = want.clone();
+                for (pow, pow_next, dirs, dirs_next, apow, apow_next) in &mut want {
+                    dirs_next.combine_window(pow, 0, dirs, &b);
+                    for w in 0..=s {
+                        apow_next[w].combine_window(pow, w + 1, &apow[w], &b);
+                        if shift {
+                            apow_next[w].gemv_sub_into(&alpha, pow.col(w), pow_next.col_mut(w));
+                        }
+                    }
+                }
+                for threads in [1, 3] {
+                    let mut fams: Vec<RecurrenceFamily<'_>> = got
+                        .iter_mut()
+                        .map(
+                            |(pow, pow_next, dirs, dirs_next, apow, apow_next)| RecurrenceFamily {
+                                pow,
+                                pow_next,
+                                dirs,
+                                dirs_next,
+                                apow,
+                                apow_next,
+                            },
+                        )
+                        .collect();
+                    fused_recurrence_step_with(&Pool::new(threads), &mut fams, &b, &alpha, shift);
+                    // Inputs untouched, outputs equal bit for bit (a
+                    // replacement pass leaves pow_next as it was).
+                    let bits =
+                        |m: &MultiVector| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    for (g, w) in got.iter().zip(&want) {
+                        let what =
+                            format!("n={n} s={s} families={nfam} shift={shift} threads={threads}");
+                        assert_eq!(bits(&g.1), bits(&w.1), "pow_next, {what}");
+                        assert_eq!(bits(&g.3), bits(&w.3), "dirs_next, {what}");
+                        for (ga, wa) in g.5.iter().zip(&w.5) {
+                            assert_eq!(bits(ga), bits(wa), "apow_next, {what}");
+                        }
+                        assert_eq!((&g.0, &g.2, &g.4), (&w.0, &w.2, &w.4), "inputs, {what}");
+                    }
+                }
             }
         }
     }

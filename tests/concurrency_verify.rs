@@ -14,10 +14,13 @@ use pipescg::methods::MethodKind;
 use pipescg::solver::SolveOptions;
 use pscg_check::detect_races;
 use pscg_par::sync_trace::{self, SyncEvent, SyncRecord, SyncTrace};
-use pscg_par::{knobs, set_global_threads};
+use pscg_par::{knobs, set_global_threads, Pool};
 use pscg_precond::Jacobi;
 use pscg_sim::SimCtx;
+use pscg_sparse::dense::DenseMatrix;
+use pscg_sparse::multivec::{fused_recurrence_step_with, RecurrenceFamily};
 use pscg_sparse::stencil::{poisson3d_7pt, Grid3};
+use pscg_sparse::MultiVector;
 
 const S: usize = 4;
 
@@ -94,6 +97,88 @@ fn every_method_is_race_free_at_one_and_four_threads() {
         }
     }
     set_global_threads(1);
+
+    // The fused recurrence pass on its own, so its accesses cannot hide
+    // among the other kernels' (it lives in this test because the recording
+    // log is process-global): every input block must show up as a read,
+    // every output block as a write, and the schedule must be race-free.
+    fused_recurrence_pass_is_traced_and_race_free();
+}
+
+fn fused_recurrence_pass_is_traced_and_race_free() {
+    let (n, s) = (1000, S);
+    let block = |ncols: usize| {
+        let mut m = MultiVector::zeros(n, ncols);
+        for (i, v) in m.data_mut().iter_mut().enumerate() {
+            *v = (i % 13) as f64 * 0.25 - 1.0;
+        }
+        m
+    };
+    let blocks = || (0..=s).map(|_| block(s)).collect::<Vec<_>>();
+    let (pow, mut pow_next) = (block(2 * s + 1), block(2 * s + 1));
+    let (dirs, mut dirs_next) = (block(s), block(s));
+    let (apow, mut apow_next) = (blocks(), blocks());
+    let mut b = DenseMatrix::zeros(s, s);
+    (0..s).for_each(|i| b.set(i, (i + 1) % s, 0.5));
+    let alpha = vec![0.25; s];
+
+    let addr = |m: &MultiVector| m.data().as_ptr() as u64;
+    let inputs: Vec<u64> = [&pow, &dirs].into_iter().chain(&apow).map(addr).collect();
+    let outputs: Vec<u64> = [&pow_next, &dirs_next]
+        .into_iter()
+        .chain(&apow_next)
+        .map(addr)
+        .collect();
+
+    sync_trace::drain();
+    sync_trace::set_enabled(true);
+    fused_recurrence_step_with(
+        &Pool::new(4),
+        &mut [RecurrenceFamily {
+            pow: &pow,
+            pow_next: &mut pow_next,
+            dirs: &dirs,
+            dirs_next: &mut dirs_next,
+            apow: &apow,
+            apow_next: &mut apow_next,
+        }],
+        &b,
+        &alpha,
+        true,
+    );
+    sync_trace::set_enabled(false);
+    let trace = sync_trace::drain();
+
+    let seen = |want_write: bool, buf: u64| {
+        trace.records.iter().any(|r| match r.event {
+            SyncEvent::BufRead { buf: b, .. } => !want_write && b == buf,
+            SyncEvent::BufWrite { buf: b, .. } => want_write && b == buf,
+            _ => false,
+        })
+    };
+    assert!(
+        inputs.iter().all(|&buf| seen(false, buf)),
+        "fused pass: an input block was never recorded as read"
+    );
+    assert!(
+        outputs.iter().all(|&buf| seen(true, buf)),
+        "fused pass: an output block was never recorded as written"
+    );
+    assert!(
+        trace
+            .records
+            .iter()
+            .any(|r| matches!(r.event, SyncEvent::EpochPublish { njobs, .. } if njobs > 1)),
+        "fused pass: no parallel dispatch observed"
+    );
+    let report = detect_races(&trace);
+    assert!(!report.cyclic, "fused pass: cyclic sync trace");
+    assert!(
+        report.races.is_empty(),
+        "fused pass: {} race(s), first: {}",
+        report.races.len(),
+        report.races[0]
+    );
 }
 
 /// Negative control: two threads writing overlapping ranges with no

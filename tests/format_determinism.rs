@@ -14,9 +14,17 @@
 //! in this binary (the symmetric property tests below call
 //! [`SymCsrMatrix`] directly and compare against a hand-rolled scalar
 //! CSR reference, so they never read the format knob at all).
+//!
+//! The same sweep anchors the fused recurrence pass of the pipelined s-step
+//! methods: their scalar-CSR reference must equal a solve through the
+//! unfused sequence the pass replaced ([`common::Unfused`]), so every
+//! format × thread cell is transitively compared against the old kernels.
 
+mod common;
+
+use common::Unfused;
 use pipescg::methods::MethodKind;
-use pipescg::solver::SolveOptions;
+use pipescg::solver::{SolveOptions, SolveResult};
 use pscg_par::{knobs, Pool};
 use pscg_precond::PcKind;
 use pscg_sim::SimCtx;
@@ -51,22 +59,35 @@ fn all_methods() -> [MethodKind; 11] {
     ]
 }
 
-/// One solve on the 8³ Poisson problem; returns (history bits, x bits).
-/// The format/thread choice is whatever is currently installed globally.
-fn run(method: MethodKind, a: &CsrMatrix, b: &[f64]) -> (Vec<u64>, Vec<u64>) {
-    let mut ctx = SimCtx::serial(a, PcKind::Jacobi.build(a, None));
+/// One solve on the 8³ Poisson problem, through the fused recurrence pass
+/// or through the unfused oracle. The format/thread choice is whatever is
+/// currently installed globally.
+fn solve(method: MethodKind, a: &CsrMatrix, b: &[f64], fused: bool) -> SolveResult {
+    let ctx = SimCtx::serial(a, PcKind::Jacobi.build(a, None));
     let opts = SolveOptions {
         rtol: 1e-6,
         s: 3,
         max_iters: 10_000,
         ..Default::default()
     };
-    let res = method.solve(&mut ctx, b, None, &opts);
+    let res = if fused {
+        let mut ctx = ctx;
+        method.solve(&mut ctx, b, None, &opts)
+    } else {
+        method.solve(&mut Unfused(ctx), b, None, &opts)
+    };
     assert!(res.converged(), "{} did not converge", method.name());
-    (
-        res.history.iter().map(|r| r.to_bits()).collect(),
-        res.x.iter().map(|v| v.to_bits()).collect(),
-    )
+    res
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|r| r.to_bits()).collect()
+}
+
+/// [`solve`] through the fused pass; returns (history bits, x bits).
+fn run(method: MethodKind, a: &CsrMatrix, b: &[f64]) -> (Vec<u64>, Vec<u64>) {
+    let res = solve(method, a, b, true);
+    (bits(&res.history), bits(&res.x))
 }
 
 /// Every method × every format × {1, 4} threads: all bitwise equal to the
@@ -81,7 +102,32 @@ fn every_method_is_bitwise_invariant_across_formats_and_threads() {
     for method in all_methods() {
         set_spmv_format(SpmvFormat::Csr);
         pscg_par::set_global_threads(1);
-        let (hist_ref, x_ref) = run(method, &a, &b);
+        let reference = solve(method, &a, &b, true);
+        let (hist_ref, x_ref) = (bits(&reference.history), bits(&reference.x));
+
+        // The methods whose recurrence phase is the fused pass: the
+        // reference must be what the unfused kernels compute and charge.
+        if matches!(
+            method,
+            MethodKind::PipeScg
+                | MethodKind::PipePscg
+                | MethodKind::Pipecg3
+                | MethodKind::PipecgOati
+                | MethodKind::Hybrid
+        ) {
+            let unfused = solve(method, &a, &b, false);
+            assert_eq!(
+                (&hist_ref, &x_ref, reference.stop, reference.counters),
+                (
+                    &bits(&unfused.history),
+                    &bits(&unfused.x),
+                    unfused.stop,
+                    unfused.counters
+                ),
+                "{}: fused recurrence pass differs from the unfused sequence",
+                method.name()
+            );
+        }
 
         for fmt in SpmvFormat::ALL {
             for threads in [1usize, 4] {

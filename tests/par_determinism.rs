@@ -8,11 +8,49 @@
 //! pinned small here so even tiny inputs split into many chunks). Every
 //! test function installs the *same* knob values, so the process-global
 //! settings are race-free under the parallel test runner.
+//!
+//! The last test extends the contract to the fused recurrence pass of the
+//! pipelined s-step methods: whole solves through it must equal, bit for
+//! bit and trace op for trace op, solves through the unfused sequence it
+//! replaced ([`common::Unfused`]) at every thread count. It is the only
+//! test here that resizes the process-global pool.
 
+mod common;
+
+use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
+
+use common::Unfused;
+use pipescg::{MethodKind, SolveOptions, SolveResult, StopReason};
 use pscg_par::{knobs, Pool};
+use pscg_precond::Jacobi;
+use pscg_sim::{Layout, MatrixProfile, Op, SimCtx};
 use pscg_sparse::dense::DenseMatrix;
 use pscg_sparse::stencil::{poisson3d_7pt, Grid3};
 use pscg_sparse::{CooMatrix, CsrMatrix, MultiVector, SplitMix64};
+
+/// The tracing engine names buffers by heap address (`BufId`), so whether
+/// two vectors of one solve share an identity depends on which freed block
+/// the allocator hands out next — on heap history, not on the solve. This
+/// test binary never frees, so every allocation has an address of its own
+/// and the `BufId`s of a trace follow from the order of engine calls alone;
+/// comparing them between two solves is then a statement about the solver.
+struct NeverReuse;
+
+// SAFETY: allocation is delegated to `System` unchanged; not freeing is
+// always sound (it leaks — the solves below are sized to keep that to a few
+// hundred MB). `realloc` uses the trait's default, which goes through
+// `alloc` and `dealloc` above.
+unsafe impl GlobalAlloc for NeverReuse {
+    unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract, which
+        // is `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, _ptr: *mut u8, _layout: AllocLayout) {}
+}
+
+#[global_allocator]
+static ALLOCATOR: NeverReuse = NeverReuse;
 
 /// Thread counts the contract is checked at (including a prime, and more
 /// lanes than the CI runner has cores).
@@ -235,5 +273,128 @@ fn single_chunk_gram_reproduces_the_unchunked_dot() {
             let expect = pscg_sparse::kernels::dot(x.col(i), y.col(j));
             assert_eq!(g.get(i, j).to_bits(), expect.to_bits());
         }
+    }
+}
+
+/// Everything observable about one traced solve.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    x: Vec<u64>,
+    history: Vec<u64>,
+    iterations: usize,
+    stop: StopReason,
+    counters: pscg_sim::OpCounters,
+    ops: Vec<Op>,
+}
+
+fn observed(res: SolveResult, ctx: &mut SimCtx<'_>) -> Observed {
+    Observed {
+        x: res.x.iter().map(|v| v.to_bits()).collect(),
+        history: res.history.iter().map(|v| v.to_bits()).collect(),
+        iterations: res.iterations,
+        stop: res.stop,
+        counters: res.counters,
+        ops: ctx.take_trace().expect("a traced context").ops,
+    }
+}
+
+/// One traced Jacobi solve on the 7-pt operator of `grid`, through the
+/// fused pass or through the unfused oracle.
+fn traced_solve(method: MethodKind, grid: Grid3, opts: &SolveOptions, fused: bool) -> Observed {
+    let a = poisson3d_7pt(grid, None);
+    let mut rng = SplitMix64::new(0x5157_0006);
+    let b = a.mul_vec(&random_vec(&mut rng, a.nrows()));
+    let prof = MatrixProfile::stencil3d(grid.nx, grid.ny, grid.nz, 1, a.nnz(), Layout::Box);
+    let ctx = SimCtx::traced(&a, Box::new(Jacobi::new(&a)), prof);
+    if fused {
+        let mut ctx = ctx;
+        let res = method.solve(&mut ctx, &b, None, opts);
+        observed(res, &mut ctx)
+    } else {
+        let mut ctx = Unfused(ctx);
+        let res = method.solve(&mut ctx, &b, None, opts);
+        observed(res, &mut ctx.0)
+    }
+}
+
+#[test]
+fn fused_recurrence_pass_equals_the_unfused_sequence_in_whole_solves() {
+    pin_knobs();
+    // PIPECG3 and PIPECG-OATI fix s = 2 themselves; the others sweep it.
+    let mut cases: Vec<(MethodKind, usize)> =
+        vec![(MethodKind::Pipecg3, 2), (MethodKind::PipecgOati, 2)];
+    for s in 1..=4 {
+        cases.extend(
+            [
+                MethodKind::PipeScg,
+                MethodKind::PipePscg,
+                MethodKind::Hybrid,
+            ]
+            .map(|m| (m, s)),
+        );
+    }
+    // 15³ = 3375 rows (105 row chunks and 15 rows over), cut off after a
+    // few passes — except PIPECG-OATI, which runs on to its replacement
+    // pass at outer iteration 24 (that pass conjugates without shifting).
+    let small = Grid3::cube(15);
+    let mut saw_replacement = false;
+    for &(method, s) in &cases {
+        let mut opts = SolveOptions::with_rtol(1e-10).with_s(s);
+        opts.max_iters = if method == MethodKind::PipecgOati {
+            60
+        } else {
+            24
+        };
+        let want = traced_solve(method, small, &opts, false);
+        if method == MethodKind::PipecgOati {
+            saw_replacement = want.iterations > 2 * pipescg::methods::pipecg_oati::REPLACE_EVERY;
+        }
+        for threads in [1, 2, 4] {
+            pscg_par::set_global_threads(threads);
+            let got = traced_solve(method, small, &opts, true);
+            assert!(
+                got == want,
+                "{} s={s}: fused solve differs from the unfused sequence at {threads} thread(s) \
+                 (stop {:?} vs {:?}, {} vs {} ops)",
+                method.name(),
+                got.stop,
+                want.stop,
+                got.ops.len(),
+                want.ops.len()
+            );
+        }
+        pscg_par::set_global_threads(1);
+    }
+    assert!(
+        saw_replacement,
+        "PIPECG-OATI never reached a replacement pass"
+    );
+
+    // 7-pt 21³ (9261 rows) at s = 4 and rtol 1e-6 ends PIPE-PsCG in
+    // Breakdown after 52 steps, as 30³ does after 584: the exit path
+    // (rollback, stop reason, history) must be the same one, and so must
+    // the hybrid's hand-off to PIPECG-OATI that it triggers.
+    let opts = SolveOptions::with_rtol(1e-6).with_s(4);
+    for method in [MethodKind::PipePscg, MethodKind::Hybrid] {
+        let want = traced_solve(method, Grid3::cube(21), &opts, false);
+        let breakdown = method == MethodKind::PipePscg;
+        assert_eq!(
+            want.stop == StopReason::Breakdown,
+            breakdown,
+            "{}",
+            method.name()
+        );
+        for threads in [1, 2, 4] {
+            pscg_par::set_global_threads(threads);
+            let got = traced_solve(method, Grid3::cube(21), &opts, true);
+            assert!(
+                got == want,
+                "{}: exit differs at {threads} thread(s): {:?} vs {:?}",
+                method.name(),
+                got.stop,
+                want.stop
+            );
+        }
+        pscg_par::set_global_threads(1);
     }
 }
