@@ -148,11 +148,10 @@ pub fn kernel_times(
 }
 
 /// Modelled SpMV memory traffic for one storage format (DESIGN.md §12).
-/// CSR moves 12 B per stored entry (value + compressed column index) plus
-/// 16 B of pointer/vector traffic per row; the register-blocked variants
-/// move the same bytes (their win is instruction-level parallelism, not
-/// traffic), as does SELL-C-σ under this coarse model (the permutation and
-/// length arrays replace the row pointer). The symmetric format stores
+/// CSR moves 12 B per stored entry (value + `u32` column index) plus
+/// 16 B of pointer/vector traffic per row, as does SELL-C-σ under this
+/// coarse model (the permutation and length arrays replace the row
+/// pointer). The symmetric format stores
 /// only the upper triangle — half the entry traffic — at the price of a
 /// second streamed pass over `y`.
 pub fn spmv_model_bytes(format: pscg_sparse::SpmvFormat, nnz: f64, rows: f64) -> f64 {
@@ -166,7 +165,7 @@ pub fn spmv_model_bytes(format: pscg_sparse::SpmvFormat, nnz: f64, rows: f64) ->
 pub fn spmv_model_rates(format: pscg_sparse::SpmvFormat) -> (f64, f64) {
     use pscg_sparse::SpmvFormat as F;
     match format {
-        F::Csr | F::CsrUnrolled4 | F::CsrUnrolled8 | F::SellCSigma => (12.0, 16.0),
+        F::Csr | F::SellCSigma => (12.0, 16.0),
         F::SymCsr => (6.0, 24.0),
     }
 }

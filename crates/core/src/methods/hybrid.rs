@@ -84,7 +84,7 @@ mod tests {
     fn hybrid_reaches_tolerances_where_pipe_pscg_alone_may_not() {
         // A harder, anisotropic 2-D problem at tight tolerance; s-step
         // recurrences with a monomial basis drift here.
-        let a = suitesparse::ecology2_like(40, 41);
+        let a = suitesparse::ecology2_like(40, 41).unwrap();
         let n = a.nrows();
         let xstar: Vec<f64> = (0..n).map(|i| (0.05 * i as f64).sin()).collect();
         let b = a.mul_vec(&xstar);

@@ -47,6 +47,7 @@ impl BlockJacobi {
                 let mut d = DenseMatrix::zeros(m, m);
                 for row in lo..hi {
                     for (k, &c) in a.row_cols(row).iter().enumerate() {
+                        let c = c as usize;
                         if c >= lo && c < hi {
                             d.set(row - lo, c - lo, a.row_vals(row)[k]);
                         }

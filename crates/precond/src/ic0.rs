@@ -34,16 +34,16 @@ impl Ic0 {
         // Build the lower-triangle pattern of A in CSR.
         let mut row_ptr = vec![0usize; n + 1];
         for r in 0..n {
-            let cnt = a.row_cols(r).iter().filter(|&&c| c <= r).count();
+            let cnt = a.row_cols(r).iter().filter(|&&c| c as usize <= r).count();
             row_ptr[r + 1] = row_ptr[r] + cnt;
         }
         let nnz = row_ptr[n];
-        let mut col_idx = vec![0usize; nnz];
+        let mut col_idx = vec![0u32; nnz];
         let mut vals = vec![0.0f64; nnz];
         for r in 0..n {
             let mut k = row_ptr[r];
             for (j, &c) in a.row_cols(r).iter().enumerate() {
-                if c <= r {
+                if c as usize <= r {
                     col_idx[k] = c;
                     vals[k] = a.row_vals(r)[j];
                     k += 1;
@@ -56,11 +56,11 @@ impl Ic0 {
         for r in 0..n {
             let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
             debug_assert!(
-                hi > lo && col_idx[hi - 1] == r,
+                hi > lo && col_idx[hi - 1] as usize == r,
                 "SPD matrix has a full diagonal"
             );
             for k in lo..hi {
-                let c = col_idx[k];
+                let c = col_idx[k] as usize;
                 // vals[k] -= sum_{j<c, j in pattern of both rows} L[r,j]*L[c,j]
                 let mut acc = vals[k];
                 let (clo, chi) = (row_ptr[c], row_ptr[c + 1]);
@@ -68,7 +68,7 @@ impl Ic0 {
                 let mut i2 = clo;
                 while i1 < k && i2 + 1 < chi {
                     let (c1, c2) = (col_idx[i1], col_idx[i2]);
-                    if c2 >= c {
+                    if c2 as usize >= c {
                         break;
                     }
                     match c1.cmp(&c2) {
@@ -121,6 +121,7 @@ impl Operator for Ic0 {
             let cols = self.l.row_cols(i);
             let vals = self.l.row_vals(i);
             for (k, &c) in cols.iter().enumerate() {
+                let c = c as usize;
                 if c < i {
                     acc -= vals[k] * z[c];
                 }
@@ -135,6 +136,7 @@ impl Operator for Ic0 {
             let cols = self.l.row_cols(i);
             let vals = self.l.row_vals(i);
             for (k, &c) in cols.iter().enumerate() {
+                let c = c as usize;
                 if c < i {
                     u[c] -= vals[k] * ui;
                 }
@@ -184,7 +186,7 @@ mod tests {
                 coo.push_sym(i, i + 1, -1.0).unwrap();
             }
         }
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         let mut m = Ic0::new(&a).unwrap();
         // M^{-1} A x == x
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.4).sin()).collect();

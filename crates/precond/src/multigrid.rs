@@ -88,7 +88,7 @@ impl Multigrid {
         let mut dense = DenseMatrix::zeros(nc, nc);
         for r in 0..nc {
             for (k, &c) in coarse.row_cols(r).iter().enumerate() {
-                dense.set(r, c, coarse.row_vals(r)[k]);
+                dense.set(r, c as usize, coarse.row_vals(r)[k]);
             }
         }
         let coarse_lu = dense.lu().expect("coarse-level operator is singular");
@@ -274,7 +274,10 @@ fn linear_interpolation(g: Grid3) -> (CsrMatrix, Grid3) {
             }
         }
     }
-    (coo.to_csr(), coarse)
+    let p = coo
+        .to_csr()
+        .expect("prolongator has fewer columns than the fine operator");
+    (p, coarse)
 }
 
 // ---------------------------------------------------------------------------
@@ -318,14 +321,13 @@ fn aggregate(a: &CsrMatrix) -> Vec<usize> {
             a.row_cols(r)
                 .iter()
                 .zip(a.row_vals(r))
-                .filter(|(&c, _)| c != r)
+                .filter(|(&c, _)| c as usize != r)
                 .map(|(_, v)| v.abs())
                 .fold(0.0f64, f64::max)
         })
         .collect();
     let strong = |r: usize, k: usize| -> bool {
-        let c = a.row_cols(r)[k];
-        if c == r {
+        if a.row_cols(r)[k] as usize == r {
             return false;
         }
         let v = a.row_vals(r)[k].abs();
@@ -341,7 +343,7 @@ fn aggregate(a: &CsrMatrix) -> Vec<usize> {
         }
         let mut free = true;
         for k in 0..a.row_cols(r).len() {
-            if strong(r, k) && agg[a.row_cols(r)[k]] != UNASSIGNED {
+            if strong(r, k) && agg[a.row_cols(r)[k] as usize] != UNASSIGNED {
                 free = false;
                 break;
             }
@@ -350,7 +352,7 @@ fn aggregate(a: &CsrMatrix) -> Vec<usize> {
             agg[r] = nagg;
             for k in 0..a.row_cols(r).len() {
                 if strong(r, k) {
-                    agg[a.row_cols(r)[k]] = nagg;
+                    agg[a.row_cols(r)[k] as usize] = nagg;
                 }
             }
             nagg += 1;
@@ -364,7 +366,7 @@ fn aggregate(a: &CsrMatrix) -> Vec<usize> {
         }
         let mut joined = false;
         for k in 0..a.row_cols(r).len() {
-            let c = a.row_cols(r)[k];
+            let c = a.row_cols(r)[k] as usize;
             if strong(r, k) && agg[c] != UNASSIGNED {
                 agg[r] = agg[c];
                 joined = true;
@@ -387,7 +389,9 @@ fn smoothed_prolongator(a: &CsrMatrix, agg: &[usize], nagg: usize) -> CsrMatrix 
     for (r, &g) in agg.iter().enumerate() {
         tent.push(r, g, 1.0).unwrap();
     }
-    let tent = tent.to_csr();
+    let tent = tent
+        .to_csr()
+        .expect("tentative prolongator has fewer columns than the fine operator");
     let inv_diag: Vec<f64> = a.diagonal().iter().map(|&d| 1.0 / d).collect();
     let rho = estimate_rho_dinv_a(a, &inv_diag);
     let omega = if rho > 0.0 {
@@ -401,11 +405,12 @@ fn smoothed_prolongator(a: &CsrMatrix, agg: &[usize], nagg: usize) -> CsrMatrix 
     for r in 0..n {
         coo.push(r, agg[r], 1.0).unwrap();
         for (k, &c) in atent.row_cols(r).iter().enumerate() {
-            coo.push(r, c, -omega * inv_diag[r] * atent.row_vals(r)[k])
+            coo.push(r, c as usize, -omega * inv_diag[r] * atent.row_vals(r)[k])
                 .unwrap();
         }
     }
     coo.to_csr()
+        .expect("smoothed prolongator has fewer columns than the fine operator")
 }
 
 /// Power iteration estimate of the spectral radius of `D⁻¹A`.

@@ -56,6 +56,7 @@ impl Operator for Ssor {
         for i in 0..n {
             let mut acc = r[i];
             for (k, &c) in self.a.row_cols(i).iter().enumerate() {
+                let c = c as usize;
                 if c < i {
                     acc -= self.a.row_vals(i)[k] * z[c];
                 }
@@ -71,6 +72,7 @@ impl Operator for Ssor {
         for i in (0..n).rev() {
             let mut acc = z[i];
             for (k, &c) in self.a.row_cols(i).iter().enumerate() {
+                let c = c as usize;
                 if c > i {
                     acc -= self.a.row_vals(i)[k] * u[c];
                 }
@@ -128,6 +130,7 @@ mod tests {
         for i in 0..n {
             let mut acc = d[i] * u[i];
             for (k, &c) in a.row_cols(i).iter().enumerate() {
+                let c = c as usize;
                 if c > i {
                     acc += a.row_vals(i)[k] * u[c];
                 }
@@ -139,6 +142,7 @@ mod tests {
         for i in 0..n {
             let mut acc = d[i] * (t[i] / d[i]);
             for (k, &c) in a.row_cols(i).iter().enumerate() {
+                let c = c as usize;
                 if c < i {
                     acc += a.row_vals(i)[k] * (t[c] / d[c]);
                 }

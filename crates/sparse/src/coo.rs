@@ -5,7 +5,7 @@
 //! allowed, they are summed), then convert once to [`CsrMatrix`] for the
 //! compute kernels.
 
-use crate::csr::CsrMatrix;
+use crate::csr::{check_index_width, CsrMatrix};
 use crate::error::SparseError;
 
 /// A sparse matrix in coordinate (triplet) format, used for assembly.
@@ -85,8 +85,11 @@ impl CooMatrix {
 
     /// Converts to CSR, sorting rows/columns and summing duplicates.
     /// Entries that sum to exactly zero are kept (structural nonzeros),
-    /// matching the convention of Matrix Market files.
-    pub fn to_csr(&self) -> CsrMatrix {
+    /// matching the convention of Matrix Market files. Fails with
+    /// [`SparseError::InvalidArgument`] when `ncols` exceeds `u32::MAX`, the
+    /// CSR column index type.
+    pub fn to_csr(&self) -> Result<CsrMatrix, SparseError> {
+        check_index_width(self.ncols)?;
         // Counting sort by row: O(nnz + nrows), no comparison sort needed.
         let nnz = self.vals.len();
         let mut row_counts = vec![0usize; self.nrows + 1];
@@ -97,14 +100,14 @@ impl CooMatrix {
             row_counts[i + 1] += row_counts[i];
         }
         let row_start = row_counts.clone();
-        let mut cols = vec![0usize; nnz];
+        let mut cols = vec![0u32; nnz];
         let mut vals = vec![0.0f64; nnz];
         {
             let mut cursor = row_start.clone();
             for k in 0..nnz {
                 let r = self.rows[k];
                 let dst = cursor[r];
-                cols[dst] = self.cols[k];
+                cols[dst] = self.cols[k] as u32; // fits: `col < ncols <= u32::MAX`
                 vals[dst] = self.vals[k];
                 cursor[r] += 1;
             }
@@ -113,7 +116,7 @@ impl CooMatrix {
         let mut out_ptr = vec![0usize; self.nrows + 1];
         let mut out_cols = Vec::with_capacity(nnz);
         let mut out_vals = Vec::with_capacity(nnz);
-        let mut scratch: Vec<(usize, f64)> = Vec::new();
+        let mut scratch: Vec<(u32, f64)> = Vec::new();
         for r in 0..self.nrows {
             let (lo, hi) = (row_start[r], row_start[r + 1]);
             scratch.clear();
@@ -140,7 +143,6 @@ impl CooMatrix {
             out_ptr[r + 1] = out_cols.len();
         }
         CsrMatrix::from_raw_parts(self.nrows, self.ncols, out_ptr, out_cols, out_vals)
-            .expect("COO->CSR conversion produced invalid CSR") // pscg-lint: allow(panic-in-hot-path, assembly invariant: the conversion emits sorted in-bounds CSR by construction)
     }
 }
 
@@ -157,12 +159,19 @@ mod tests {
     }
 
     #[test]
+    fn to_csr_rejects_columns_past_u32() {
+        let m = CooMatrix::new(1, u32::MAX as usize + 1);
+        assert!(matches!(m.to_csr(), Err(SparseError::InvalidArgument(_))));
+        assert!(CooMatrix::new(1, u32::MAX as usize).to_csr().is_ok());
+    }
+
+    #[test]
     fn duplicates_are_summed() {
         let mut m = CooMatrix::new(2, 2);
         m.push(0, 1, 1.5).unwrap();
         m.push(0, 1, 2.5).unwrap();
         m.push(1, 0, -1.0).unwrap();
-        let csr = m.to_csr();
+        let csr = m.to_csr().unwrap();
         assert_eq!(csr.nnz(), 2);
         assert_eq!(csr.get(0, 1), 4.0);
         assert_eq!(csr.get(1, 0), -1.0);
@@ -174,7 +183,7 @@ mod tests {
         m.push(0, 3, 3.0).unwrap();
         m.push(0, 0, 0.5).unwrap();
         m.push(0, 2, 2.0).unwrap();
-        let csr = m.to_csr();
+        let csr = m.to_csr().unwrap();
         assert_eq!(csr.row_cols(0), &[0, 2, 3]);
         assert_eq!(csr.row_vals(0), &[0.5, 2.0, 3.0]);
     }
@@ -184,7 +193,7 @@ mod tests {
         let mut m = CooMatrix::new(3, 3);
         m.push_sym(0, 1, 2.0).unwrap();
         m.push_sym(2, 2, 5.0).unwrap();
-        let csr = m.to_csr();
+        let csr = m.to_csr().unwrap();
         assert_eq!(csr.get(0, 1), 2.0);
         assert_eq!(csr.get(1, 0), 2.0);
         assert_eq!(csr.get(2, 2), 5.0);
@@ -195,7 +204,7 @@ mod tests {
     fn empty_rows_are_preserved() {
         let mut m = CooMatrix::new(3, 3);
         m.push(2, 0, 1.0).unwrap();
-        let csr = m.to_csr();
+        let csr = m.to_csr().unwrap();
         assert_eq!(csr.row_cols(0).len(), 0);
         assert_eq!(csr.row_cols(1).len(), 0);
         assert_eq!(csr.row_cols(2), &[0]);

@@ -13,8 +13,12 @@ use crate::symcsr::SymCsrMatrix;
 ///
 /// Invariants (checked by [`CsrMatrix::from_raw_parts`]):
 /// `row_ptr.len() == nrows + 1`, `row_ptr\[0\] == 0`, `row_ptr` is
-/// non-decreasing, `col_idx.len() == vals.len() == row_ptr[nrows]`, and
-/// column indices within each row are strictly increasing and `< ncols`.
+/// non-decreasing, `col_idx.len() == vals.len() == row_ptr[nrows]`,
+/// `ncols <= u32::MAX`, and column indices within each row are strictly
+/// increasing and `< ncols`.
+///
+/// Column indices are `u32` — the one index type of every format here, so
+/// the kernel streams 12 B per stored entry (8 B value + 4 B index).
 ///
 /// The SpMV entry points dispatch on the process-wide
 /// [`crate::format::spmv_format`] knob; alternative representations
@@ -26,7 +30,7 @@ pub struct CsrMatrix {
     nrows: usize,
     ncols: usize,
     row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    col_idx: Vec<u32>,
     vals: Vec<f64>,
     /// nnz-balanced row boundaries for the parallel SpMV, built lazily from
     /// the structure (never the values, so `vals_mut` cannot stale it).
@@ -66,6 +70,45 @@ impl PartialEq for CsrMatrix {
     }
 }
 
+/// Rejects a column count the `u32` column index cannot address — the one
+/// width check every constructor and reader shares.
+pub(crate) fn check_index_width(ncols: usize) -> Result<(), SparseError> {
+    if ncols > u32::MAX as usize {
+        return Err(SparseError::InvalidArgument(format!(
+            "column indices are u32; {ncols} columns exceed u32::MAX"
+        )));
+    }
+    Ok(())
+}
+
+/// Rows the CSR kernel walks in lockstep: four independent accumulator
+/// chains cover the FP-add latency that bounds a single row's chain. A
+/// constant, not a knob — height 8 measured 18 % slower on the 125-point
+/// 64³ operator and height 2 17 % slower on the 7-point one (DESIGN.md
+/// §12.2).
+const BLOCK_ROWS: usize = 4;
+
+/// Entries ahead of the cursor at which the kernel prefetches `vals` and
+/// `col_idx` (≈ 8 rows of the 125-point operator). A constant, not a knob
+/// — 256 / 512 / 1024 / 2048 entries measured 32.0 / 29.0 / 27.0 /
+/// 28.5 ms per 125-point 64³ SpMV (DESIGN.md §12.2).
+const PREFETCH_AHEAD: usize = 1024;
+
+/// Hints the cache line at `p` into L1. A hint only: it never faults, so
+/// `p` may point past the end of its array.
+#[inline(always)]
+fn prefetch<T>(p: *const T) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    // SAFETY: PREFETCHT0 has no architectural effect and raises no fault
+    // on any address; SSE is part of the x86_64 baseline.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast::<i8>());
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    let _ = p;
+}
+
 /// Row boundaries cutting `row_ptr` into runs of ≈`chunk_nnz` non-zeros:
 /// the fixed, thread-count-independent work units of the parallel SpMV.
 fn nnz_balanced_rows(row_ptr: &[usize], chunk_nnz: usize) -> Vec<usize> {
@@ -93,7 +136,7 @@ impl CsrMatrix {
         nrows: usize,
         ncols: usize,
         row_ptr: Vec<usize>,
-        col_idx: Vec<usize>,
+        col_idx: Vec<u32>,
         vals: Vec<f64>,
     ) -> Self {
         CsrMatrix {
@@ -113,9 +156,10 @@ impl CsrMatrix {
         nrows: usize,
         ncols: usize,
         row_ptr: Vec<usize>,
-        col_idx: Vec<usize>,
+        col_idx: Vec<u32>,
         vals: Vec<f64>,
     ) -> Result<Self, SparseError> {
+        check_index_width(ncols)?;
         if row_ptr.len() != nrows + 1 {
             return Err(SparseError::InvalidCsr(format!(
                 "row_ptr length {} != nrows + 1 = {}",
@@ -156,10 +200,10 @@ impl CsrMatrix {
                 }
             }
             if let Some(&last) = row.last() {
-                if last >= ncols {
+                if last as usize >= ncols {
                     return Err(SparseError::IndexOutOfBounds {
                         row: r,
-                        col: last,
+                        col: last as usize,
                         nrows,
                         ncols,
                     });
@@ -170,8 +214,12 @@ impl CsrMatrix {
     }
 
     /// The `n × n` identity matrix.
+    ///
+    /// # Panics
+    /// When `n` exceeds `u32::MAX` (the column index type).
     pub fn identity(n: usize) -> Self {
-        CsrMatrix::assemble(n, n, (0..=n).collect(), (0..n).collect(), vec![1.0; n])
+        let cols = u32::try_from(n).expect("identity: n exceeds the u32 column index"); // pscg-lint: allow(panic-in-hot-path, documented panic of an infallible convenience constructor)
+        CsrMatrix::assemble(n, n, (0..=n).collect(), (0..cols).collect(), vec![1.0; n])
     }
 
     /// Number of rows.
@@ -209,7 +257,7 @@ impl CsrMatrix {
 
     /// Column indices array.
     #[inline]
-    pub fn col_idx(&self) -> &[usize] {
+    pub fn col_idx(&self) -> &[u32] {
         &self.col_idx
     }
 
@@ -231,7 +279,7 @@ impl CsrMatrix {
 
     /// Column indices of row `r`.
     #[inline]
-    pub fn row_cols(&self, r: usize) -> &[usize] {
+    pub fn row_cols(&self, r: usize) -> &[u32] {
         &self.col_idx[self.row_ptr[r]..self.row_ptr[r + 1]]
     }
 
@@ -243,6 +291,9 @@ impl CsrMatrix {
 
     /// Value at `(r, c)`, or `0.0` if the entry is not stored.
     pub fn get(&self, r: usize, c: usize) -> f64 {
+        let Ok(c) = u32::try_from(c) else {
+            return 0.0;
+        };
         match self.row_cols(r).binary_search(&c) {
             Ok(k) => self.row_vals(r)[k],
             Err(_) => 0.0,
@@ -289,36 +340,61 @@ impl CsrMatrix {
             .as_ref()
     }
 
-    /// Rows `[row_lo, row_hi)` of `y = A x`, serial (the per-chunk kernel;
-    /// also the reference the parallel paths must match bitwise — each row
-    /// accumulates independently, so row partitioning cannot change it).
-    fn spmv_rows_serial(&self, row_lo: usize, row_hi: usize, x: &[f64], y: &mut [f64]) {
+    /// Rows `[row_lo, row_hi)` of `y = A x`, one accumulator chain per row
+    /// from `0.0` over ascending columns: the bitwise reference of every
+    /// kernel and format, and the `< BLOCK_ROWS` tail of [`Self::spmv_rows_serial`].
+    fn spmv_rows_scalar(&self, row_lo: usize, row_hi: usize, x: &[f64], y: &mut [f64]) {
         for (out, r) in y.iter_mut().zip(row_lo..row_hi) {
             let lo = self.row_ptr[r];
             let hi = self.row_ptr[r + 1];
             let mut acc = 0.0;
             for k in lo..hi {
-                acc += self.vals[k] * x[self.col_idx[k]];
+                acc += self.vals[k] * x[self.col_idx[k] as usize];
             }
             *out = acc;
         }
     }
 
-    /// Rows `[row_lo, row_hi)` with `B`-row register blocking: `B` rows
-    /// walk their common-length prefix in lockstep with `B` independent
-    /// accumulators (hiding the FP-add latency that bounds the scalar
-    /// kernel), then finish their tails one row at a time; trailing rows
-    /// `< B` fall back to the scalar kernel. Each row's own chain is still
-    /// ascending-column from `0.0` — bitwise equal to `spmv_rows_serial`.
-    fn spmv_rows_serial_blocked<const B: usize>(
-        &self,
-        row_lo: usize,
-        row_hi: usize,
-        x: &[f64],
-        y: &mut [f64],
-    ) {
-        assert!(x.len() >= self.ncols, "blocked spmv: x shorter than ncols");
-        let (vals, cols) = (&self.vals[..], &self.col_idx[..]);
+    /// One term `vals[idx] · x[col_idx[idx]]` of a row chain. On the first
+    /// entry of each cache line of `vals` (8 entries) and `col_idx` (16) it
+    /// first prefetches the line [`PREFETCH_AHEAD`] entries on; the pointer
+    /// is formed with `wrapping_add` because near the end of the arrays
+    /// that line lies past them.
+    ///
+    /// # Safety
+    /// `idx < self.nnz()` and `x.len() >= self.ncols`.
+    #[inline(always)]
+    unsafe fn term(&self, x: &[f64], idx: usize) -> f64 {
+        if idx & 7 == 0 {
+            prefetch(self.vals.as_ptr().wrapping_add(idx + PREFETCH_AHEAD));
+        }
+        if idx & 15 == 0 {
+            prefetch(self.col_idx.as_ptr().wrapping_add(idx + PREFETCH_AHEAD));
+        }
+        // SAFETY: `idx < nnz` bounds vals and col_idx (caller contract), and
+        // every stored column index is `< ncols <= x.len()` (validated at
+        // construction; caller contract). Unchecked because three bounds
+        // checks per entry dominate this bandwidth-bound loop.
+        unsafe {
+            self.vals.get_unchecked(idx)
+                * x.get_unchecked(*self.col_idx.get_unchecked(idx) as usize)
+        }
+    }
+
+    /// Rows `[row_lo, row_hi)` of `y = A x`, serial — the per-chunk kernel.
+    ///
+    /// A single row's chain runs at FP-add latency (a 125-entry row does
+    /// not fit the reorder buffer, so consecutive rows do not overlap), so
+    /// [`BLOCK_ROWS`] rows walk their common-length prefix in lockstep with
+    /// independent accumulators, then finish their tails one row at a time;
+    /// the trailing `< BLOCK_ROWS` rows take the scalar loop. The
+    /// stream-ahead prefetch of [`Self::term`] keeps the interleaved row
+    /// streams at memory speed. Each row's own chain is still
+    /// ascending-column from `0.0` with the product rounded before the add
+    /// — bitwise [`Self::spmv_rows_scalar`], whatever the row partition.
+    fn spmv_rows_serial(&self, row_lo: usize, row_hi: usize, x: &[f64], y: &mut [f64]) {
+        const B: usize = BLOCK_ROWS;
+        assert!(x.len() >= self.ncols, "spmv: x shorter than ncols");
         let mut r = row_lo;
         while r + B <= row_hi {
             let mut base = [0usize; B];
@@ -332,50 +408,22 @@ impl CsrMatrix {
             let mut acc = [0.0f64; B];
             for k in 0..min_len {
                 for j in 0..B {
-                    let idx = base[j] + k;
-                    // SAFETY: `idx < row_ptr[r+j+1] <= nnz` bounds vals and
-                    // col_idx, and every stored column index is `< ncols <=
-                    // x.len()` (validated by `from_raw_parts`, asserted
-                    // above). Unchecked because three bounds checks per
-                    // entry dominate this bandwidth-bound loop.
-                    unsafe {
-                        acc[j] +=
-                            vals.get_unchecked(idx) * x.get_unchecked(*cols.get_unchecked(idx));
-                    }
+                    // SAFETY: `base[j] + k < row_ptr[r+j+1] <= nnz`, and
+                    // `x.len() >= ncols` was asserted above.
+                    acc[j] += unsafe { self.term(x, base[j] + k) };
                 }
             }
             for j in 0..B {
                 for k in min_len..len[j] {
-                    let idx = base[j] + k;
                     // SAFETY: as above.
-                    unsafe {
-                        acc[j] +=
-                            vals.get_unchecked(idx) * x.get_unchecked(*cols.get_unchecked(idx));
-                    }
+                    acc[j] += unsafe { self.term(x, base[j] + k) };
                 }
                 y[r - row_lo + j] = acc[j];
             }
             r += B;
         }
         if r < row_hi {
-            self.spmv_rows_serial(r, row_hi, x, &mut y[r - row_lo..]);
-        }
-    }
-
-    /// The per-chunk CSR row kernel for `fmt` (scalar for the non-CSR
-    /// formats, which have their own drivers).
-    fn spmv_rows_fmt(
-        &self,
-        fmt: SpmvFormat,
-        row_lo: usize,
-        row_hi: usize,
-        x: &[f64],
-        y: &mut [f64],
-    ) {
-        match fmt {
-            SpmvFormat::CsrUnrolled4 => self.spmv_rows_serial_blocked::<4>(row_lo, row_hi, x, y),
-            SpmvFormat::CsrUnrolled8 => self.spmv_rows_serial_blocked::<8>(row_lo, row_hi, x, y),
-            _ => self.spmv_rows_serial(row_lo, row_hi, x, y),
+            self.spmv_rows_scalar(r, row_hi, x, &mut y[r - row_lo..]);
         }
     }
 
@@ -396,13 +444,12 @@ impl CsrMatrix {
     pub fn spmv_with(&self, pool: &Pool, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "spmv: x length mismatch");
         assert_eq!(y.len(), self.nrows, "spmv: y length mismatch");
-        let fmt = spmv_format();
-        match fmt {
+        match spmv_format() {
             SpmvFormat::SellCSigma => {
                 if let Some(s) = self.sell_cache() {
                     return s.spmv_with(pool, x, y);
                 }
-                // Conversion not applicable (u32 overflow): plain CSR.
+                // Conversion not applicable (rows past u32): plain CSR.
             }
             SpmvFormat::SymCsr => {
                 if let Some(s) = self.sym_cache() {
@@ -411,7 +458,7 @@ impl CsrMatrix {
                 // Not exactly symmetric: plain CSR (results are bitwise
                 // identical either way; only traffic differs).
             }
-            _ => {}
+            SpmvFormat::Csr => {}
         }
         // The serial/parallel decision depends only on the shape, never on
         // the pool width: a 1-lane pool takes the exact same path (inline)
@@ -420,7 +467,7 @@ impl CsrMatrix {
         let bounds = self.par_row_bounds();
         let nchunks = bounds.len().saturating_sub(1);
         if nchunks <= 1 {
-            self.spmv_rows_fmt(fmt, 0, self.nrows, x, y);
+            self.spmv_rows_serial(0, self.nrows, x, y);
             return;
         }
         let out = DisjointMut::new(y);
@@ -430,7 +477,7 @@ impl CsrMatrix {
             // SAFETY: partition boundaries are strictly increasing, so row
             // ranges (and the y sub-slices) are pairwise disjoint.
             let yy = unsafe { out.range(lo, hi) };
-            self.spmv_rows_fmt(fmt, lo, hi, x, yy);
+            self.spmv_rows_serial(lo, hi, x, yy);
         });
     }
 
@@ -442,11 +489,9 @@ impl CsrMatrix {
 
     /// [`CsrMatrix::spmv_rows`] on an explicit pool. The row window is
     /// re-chunked at the same nnz target, so the result stays bitwise equal
-    /// to the serial kernel regardless of window or thread count. Format
-    /// dispatch covers the CSR kernels only; the SELL/symmetric
-    /// representations cover the whole matrix, not a window, so those
-    /// formats run the 4-row register-blocked CSR kernel here (still
-    /// bitwise identical — the representation never changes results).
+    /// to the serial kernel regardless of window or thread count. Always
+    /// the CSR kernel: the SELL/symmetric representations cover the whole
+    /// matrix, not a window (and never change results).
     pub fn spmv_rows_with(
         &self,
         pool: &Pool,
@@ -457,17 +502,12 @@ impl CsrMatrix {
     ) {
         assert!(row_hi <= self.nrows);
         assert_eq!(y.len(), row_hi - row_lo, "spmv_rows: y length mismatch");
-        let fmt = match spmv_format() {
-            SpmvFormat::Csr => SpmvFormat::Csr,
-            SpmvFormat::CsrUnrolled8 => SpmvFormat::CsrUnrolled8,
-            _ => SpmvFormat::CsrUnrolled4,
-        };
         let window_nnz = self.row_ptr[row_hi] - self.row_ptr[row_lo];
         let chunk_nnz = pscg_par::knobs::spmv_chunk_nnz();
         // Shape-only decision — see `spmv_with` on why the pool width must
         // not influence the code path or its allocations.
         if window_nnz < 2 * chunk_nnz {
-            self.spmv_rows_fmt(fmt, row_lo, row_hi, x, y);
+            self.spmv_rows_serial(row_lo, row_hi, x, y);
             return;
         }
         let bounds = nnz_balanced_rows(&self.row_ptr[row_lo..=row_hi], chunk_nnz);
@@ -477,7 +517,7 @@ impl CsrMatrix {
             pscg_par::sync_trace::record_read(x, 0, x.len());
             // SAFETY: chunk row ranges are pairwise disjoint.
             let yy = unsafe { out.range(lo, hi) };
-            self.spmv_rows_fmt(fmt, row_lo + lo, row_lo + hi, x, yy);
+            self.spmv_rows_serial(row_lo + lo, row_lo + hi, x, yy);
         });
     }
 
@@ -489,24 +529,32 @@ impl CsrMatrix {
     }
 
     /// Explicit transpose.
+    ///
+    /// # Panics
+    /// When `nrows` exceeds `u32::MAX`: rows become the column indices.
     pub fn transpose(&self) -> CsrMatrix {
+        assert!(
+            check_index_width(self.nrows).is_ok(),
+            "transpose: {} rows exceed the u32 column index",
+            self.nrows
+        );
         let mut cnt = vec![0usize; self.ncols + 1];
         for &c in &self.col_idx {
-            cnt[c + 1] += 1;
+            cnt[c as usize + 1] += 1;
         }
         for i in 0..self.ncols {
             cnt[i + 1] += cnt[i];
         }
         let row_ptr = cnt.clone();
         let nnz = self.nnz();
-        let mut col_idx = vec![0usize; nnz];
+        let mut col_idx = vec![0u32; nnz];
         let mut vals = vec![0.0f64; nnz];
         let mut cursor = row_ptr.clone();
         for r in 0..self.nrows {
             for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                let c = self.col_idx[k];
+                let c = self.col_idx[k] as usize;
                 let dst = cursor[c];
-                col_idx[dst] = r;
+                col_idx[dst] = r as u32; // fits: nrows <= u32::MAX asserted above
                 vals[dst] = self.vals[k];
                 cursor[c] += 1;
             }
@@ -524,32 +572,33 @@ impl CsrMatrix {
         let m = other.ncols;
         let mut row_ptr = Vec::with_capacity(self.nrows + 1);
         row_ptr.push(0usize);
-        let mut col_idx: Vec<usize> = Vec::new();
+        let mut col_idx: Vec<u32> = Vec::new();
         let mut vals: Vec<f64> = Vec::new();
         // Sparse accumulator: value per output column + touched list.
         let mut acc = vec![0.0f64; m];
         let mut mark = vec![false; m];
-        let mut touched: Vec<usize> = Vec::new();
+        let mut touched: Vec<u32> = Vec::new();
         for r in 0..self.nrows {
             touched.clear();
             for k in self.row_ptr[r]..self.row_ptr[r + 1] {
                 let a = self.vals[k];
-                let krow = self.col_idx[k];
+                let krow = self.col_idx[k] as usize;
                 for k2 in other.row_ptr[krow]..other.row_ptr[krow + 1] {
                     let c = other.col_idx[k2];
-                    if !mark[c] {
-                        mark[c] = true;
+                    let slot = c as usize;
+                    if !mark[slot] {
+                        mark[slot] = true;
                         touched.push(c);
-                        acc[c] = 0.0;
+                        acc[slot] = 0.0;
                     }
-                    acc[c] += a * other.vals[k2];
+                    acc[slot] += a * other.vals[k2];
                 }
             }
             touched.sort_unstable();
             for &c in &touched {
                 col_idx.push(c);
-                vals.push(acc[c]);
-                mark[c] = false;
+                vals.push(acc[c as usize]);
+                mark[c as usize] = false;
             }
             row_ptr.push(col_idx.len());
         }
@@ -572,7 +621,7 @@ impl CsrMatrix {
             // fall back to a value comparison through `get`.
             for r in 0..self.nrows {
                 for (k, &c) in self.row_cols(r).iter().enumerate() {
-                    if (self.row_vals(r)[k] - t.get(r, c)).abs() > tol {
+                    if (self.row_vals(r)[k] - t.get(r, c as usize)).abs() > tol {
                         return false;
                     }
                 }
@@ -598,7 +647,7 @@ impl CsrMatrix {
             let mut off = 0.0;
             for (k, &c) in self.row_cols(r).iter().enumerate() {
                 let v = self.row_vals(r)[k];
-                if c == r {
+                if c as usize == r {
                     diag = v;
                 } else {
                     off += v.abs();
@@ -619,7 +668,7 @@ impl CsrMatrix {
             let mut radius = 0.0;
             for (k, &c) in self.row_cols(r).iter().enumerate() {
                 let v = self.row_vals(r)[k];
-                if c == r {
+                if c as usize == r {
                     diag = v;
                 } else {
                     radius += v.abs();
@@ -651,10 +700,8 @@ impl CsrMatrix {
         let rows = self.nrows as f64;
         let vecs = 16.0 * rows; // x read + y written, 8 B each
         match fmt {
-            // 8 B value + 8 B usize column per entry + 8 B row_ptr per row.
-            SpmvFormat::Csr | SpmvFormat::CsrUnrolled4 | SpmvFormat::CsrUnrolled8 => {
-                16.0 * nnz + 8.0 * rows + vecs
-            }
+            // 8 B value + 4 B u32 column per entry + 8 B row_ptr per row.
+            SpmvFormat::Csr => 12.0 * nnz + 8.0 * rows + vecs,
             // 8 B value + 4 B u32 column per *padded* entry + 8 B
             // perm/len metadata per row.
             SpmvFormat::SellCSigma => match self.sell_cache() {
@@ -689,7 +736,7 @@ mod tests {
         }
         c.push_sym(0, 1, -1.0).unwrap();
         c.push_sym(1, 2, -1.0).unwrap();
-        c.to_csr()
+        c.to_csr().unwrap()
     }
 
     #[test]
@@ -709,6 +756,11 @@ mod tests {
         assert!(CsrMatrix::from_raw_parts(1, 3, vec![0, 2], vec![1, 1], vec![1.0, 1.0]).is_err());
         // column out of range
         assert!(CsrMatrix::from_raw_parts(1, 2, vec![0, 1], vec![5], vec![1.0]).is_err());
+        // more columns than the u32 index can address
+        assert!(matches!(
+            CsrMatrix::from_raw_parts(1, u32::MAX as usize + 1, vec![0, 0], vec![], vec![]),
+            Err(SparseError::InvalidArgument(_))
+        ));
     }
 
     #[test]
@@ -744,7 +796,7 @@ mod tests {
         c.push(0, 1, 3.0).unwrap();
         c.push(0, 0, 1.0).unwrap();
         c.push(1, 1, 1.0).unwrap();
-        let b = c.to_csr();
+        let b = c.to_csr().unwrap();
         assert!(!b.is_symmetric(1e-12));
         assert!(!b.is_diagonally_dominant());
     }
@@ -819,23 +871,62 @@ mod tests {
         assert_eq!(nnz_balanced_rows(&[0, 3], 1), vec![0, 1]);
     }
 
+    /// A ragged matrix: row `r` holds `lens[r % lens.len()]` consecutive
+    /// columns (0 = empty row) from a row-dependent start, seeded values.
+    fn ragged(nrows: usize, ncols: usize, lens: &[usize], seed: u64) -> CsrMatrix {
+        let mut rng = crate::rng::SplitMix64::new(seed);
+        let mut row_ptr = vec![0usize];
+        let (mut col_idx, mut vals) = (Vec::new(), Vec::new());
+        for r in 0..nrows {
+            let len = lens[r % lens.len()].min(ncols);
+            let start = (7 * r) % (ncols - len + 1);
+            for c in start..start + len {
+                col_idx.push(c as u32);
+                vals.push(rng.uniform(-2.0, 2.0));
+            }
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix::from_raw_parts(nrows, ncols, row_ptr, col_idx, vals).unwrap()
+    }
+
+    fn assert_blocked_is_scalar(a: &CsrMatrix, what: &str) {
+        let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.61).cos()).collect();
+        let mut want = vec![f64::NAN; a.nrows()];
+        a.spmv_rows_scalar(0, a.nrows(), &x, &mut want);
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let mut y = vec![f64::NAN; a.nrows()];
+        a.spmv_rows_serial(0, a.nrows(), &x, &mut y);
+        assert_eq!(bits(&y), bits(&want), "{what}: full range");
+        // Odd windows: every start offset modulo the block height, and
+        // ends that leave 0..3 tail rows.
+        for lo in 0..a.nrows().min(5) {
+            for hi in (lo..=a.nrows()).rev().take(5) {
+                let mut part = vec![f64::NAN; hi - lo];
+                a.spmv_rows_serial(lo, hi, &x, &mut part);
+                assert_eq!(bits(&part), bits(&want[lo..hi]), "{what}: rows {lo}..{hi}");
+            }
+        }
+    }
+
     #[test]
-    fn blocked_kernels_are_bitwise_scalar() {
-        use crate::stencil::{poisson3d_7pt, Grid3};
-        let a = poisson3d_7pt(Grid3::cube(7), None);
-        let x: Vec<f64> = (0..a.nrows()).map(|i| (i as f64 * 0.61).cos()).collect();
-        let mut want = vec![0.0; a.nrows()];
-        a.spmv_rows_serial(0, a.nrows(), &x, &mut want);
-        let mut y4 = vec![f64::NAN; a.nrows()];
-        a.spmv_rows_serial_blocked::<4>(0, a.nrows(), &x, &mut y4);
-        assert_eq!(y4, want);
-        let mut y8 = vec![f64::NAN; a.nrows()];
-        a.spmv_rows_serial_blocked::<8>(0, a.nrows(), &x, &mut y8);
-        assert_eq!(y8, want);
-        // Odd windows exercise the scalar remainder.
-        let mut part = vec![f64::NAN; 13];
-        a.spmv_rows_serial_blocked::<4>(3, 16, &x, &mut part);
-        assert_eq!(part, want[3..16]);
+    fn blocked_kernel_is_bitwise_scalar_on_ragged_matrices() {
+        // Blocks of four unequal lengths, empty and 1-entry rows, nnz not a
+        // multiple of 8 or 16; all but the last matrix hold fewer than
+        // PREFETCH_AHEAD entries, so every prefetch target lies past the
+        // arrays, and the last one crosses from inside them to past them.
+        let shapes: [(usize, usize, &[usize]); 6] = [
+            (23, 40, &[3, 0, 1, 17, 5, 5, 2, 0, 0, 9, 1]), // 89 entries
+            (4, 9, &[9, 1, 0, 4]),
+            (3, 5, &[2, 5, 1]), // fewer rows than one block
+            (1, 7, &[7]),
+            (8, 3, &[0]), // nothing stored at all
+            (64, 130, &[125, 100, 125, 27, 125, 125, 124, 125]),
+        ];
+        for (i, &(nrows, ncols, lens)) in shapes.iter().enumerate() {
+            let a = ragged(nrows, ncols, lens, 0xc5a + i as u64);
+            assert_eq!(a.nnz() > PREFETCH_AHEAD, i == 5, "shape {i}");
+            assert_blocked_is_scalar(&a, &format!("shape {i}"));
+        }
     }
 
     #[test]
@@ -845,7 +936,7 @@ mod tests {
         let a = poisson3d_7pt(Grid3::cube(6), None);
         let x: Vec<f64> = (0..a.nrows()).map(|i| (i as f64 * 0.29).sin()).collect();
         let mut want = vec![0.0; a.nrows()];
-        a.spmv_rows_serial(0, a.nrows(), &x, &mut want);
+        a.spmv_rows_scalar(0, a.nrows(), &x, &mut want);
         let before = crate::format::spmv_format();
         for fmt in SpmvFormat::ALL {
             set_spmv_format(fmt);
@@ -889,7 +980,7 @@ mod tests {
         let a = poisson3d_7pt(Grid3::cube(9), None);
         let x: Vec<f64> = (0..a.nrows()).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut reference = vec![0.0; a.nrows()];
-        a.spmv_rows_serial(0, a.nrows(), &x, &mut reference);
+        a.spmv_rows_scalar(0, a.nrows(), &x, &mut reference);
         for threads in [1, 2, 4, 7] {
             let pool = Pool::new(threads);
             let mut y = vec![0.0; a.nrows()];

@@ -4,7 +4,7 @@
 //! the format knob chooses *which kernel body* serves `spmv` without
 //! changing the interface, the chunk partition contract, or the per-row
 //! accumulation order. All formats are bitwise identical to the scalar CSR
-//! kernel at every thread count (each row still sums its entries in
+//! loop at every thread count (each row still sums its entries in
 //! ascending-column order from an initial `0.0`), so the knob is a pure
 //! performance dial: traces, the IR conformance checker and the analyzer
 //! see the same logical `Spmv` nodes whichever format executes them.
@@ -18,18 +18,14 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// Which kernel body serves `CsrMatrix::spmv`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SpmvFormat {
-    /// Scalar CSR: one accumulator per row, entries in ascending-column
-    /// order. The bitwise reference all other formats must reproduce.
+    /// CSR, `u32` column indices (12 B/nnz): four rows in lockstep with one
+    /// accumulator chain each — every row still sums its entries in
+    /// ascending-column order from `0.0`, the chain all other formats must
+    /// reproduce bitwise — and a stream-ahead prefetch (DESIGN.md §12.2).
     #[default]
     Csr,
-    /// Register-blocked CSR, 4 rows per block: four independent accumulator
-    /// chains walk their rows in lockstep (scalar tail rows), hiding the
-    /// ~4-cycle add latency that bounds the scalar kernel.
-    CsrUnrolled4,
-    /// Register-blocked CSR, 8 rows per block.
-    CsrUnrolled8,
     /// SELL-C-σ (sliced ELLPACK, C = 8): σ-window row sorting, column-major
-    /// chunks, `u32` column indices (12 B/nnz instead of 16 B/nnz).
+    /// chunks; 12 B per *padded* entry.
     SellCSigma,
     /// Symmetric CSR: strictly-upper + diagonal storage (≈6 B per logical
     /// nnz), deterministic scatter-slot reduction. Falls back to scalar CSR
@@ -39,32 +35,22 @@ pub enum SpmvFormat {
 
 impl SpmvFormat {
     /// All formats, in benchmark/report order.
-    pub const ALL: [SpmvFormat; 5] = [
-        SpmvFormat::Csr,
-        SpmvFormat::CsrUnrolled4,
-        SpmvFormat::CsrUnrolled8,
-        SpmvFormat::SellCSigma,
-        SpmvFormat::SymCsr,
-    ];
+    pub const ALL: [SpmvFormat; 3] = [SpmvFormat::Csr, SpmvFormat::SellCSigma, SpmvFormat::SymCsr];
 
     /// Stable identifier used in CLI flags, env values and JSON reports.
     pub fn as_str(self) -> &'static str {
         match self {
             SpmvFormat::Csr => "csr",
-            SpmvFormat::CsrUnrolled4 => "csr-unrolled4",
-            SpmvFormat::CsrUnrolled8 => "csr-unrolled8",
             SpmvFormat::SellCSigma => "sell-c-sigma",
             SpmvFormat::SymCsr => "sym-csr",
         }
     }
 
     /// Parses the identifiers produced by [`SpmvFormat::as_str`] (plus the
-    /// `csr-unrolled` alias for the 4-row variant).
+    /// `sell` / `sym` short forms).
     pub fn parse(s: &str) -> Option<SpmvFormat> {
         match s.trim() {
             "csr" => Some(SpmvFormat::Csr),
-            "csr-unrolled" | "csr-unrolled4" => Some(SpmvFormat::CsrUnrolled4),
-            "csr-unrolled8" => Some(SpmvFormat::CsrUnrolled8),
             "sell" | "sell-c-sigma" => Some(SpmvFormat::SellCSigma),
             "sym" | "sym-csr" => Some(SpmvFormat::SymCsr),
             _ => None,
@@ -73,12 +59,11 @@ impl SpmvFormat {
 
     /// Stable numeric code (1-based), carried as the `arg` of SpMV/MPK
     /// telemetry spans so traces are self-describing about which kernel
-    /// body ran.
+    /// body ran. Codes 2 and 3 belonged to the retired register-blocked CSR
+    /// variants and are never reused.
     pub fn to_code(self) -> u8 {
         match self {
             SpmvFormat::Csr => 1,
-            SpmvFormat::CsrUnrolled4 => 2,
-            SpmvFormat::CsrUnrolled8 => 3,
             SpmvFormat::SellCSigma => 4,
             SpmvFormat::SymCsr => 5,
         }
@@ -88,8 +73,6 @@ impl SpmvFormat {
     pub fn from_code(code: u8) -> Option<SpmvFormat> {
         match code {
             1 => Some(SpmvFormat::Csr),
-            2 => Some(SpmvFormat::CsrUnrolled4),
-            3 => Some(SpmvFormat::CsrUnrolled8),
             4 => Some(SpmvFormat::SellCSigma),
             5 => Some(SpmvFormat::SymCsr),
             _ => None,
@@ -140,13 +123,20 @@ mod tests {
         }
         assert_eq!(SpmvFormat::parse("sell"), Some(SpmvFormat::SellCSigma));
         assert_eq!(SpmvFormat::parse("nope"), None);
+        // Retired names and span codes stay retired.
+        assert_eq!(SpmvFormat::parse("csr-unrolled4"), None);
+        assert_eq!(SpmvFormat::from_code(2), None);
+        assert_eq!(SpmvFormat::from_code(3), None);
+        for f in SpmvFormat::ALL {
+            assert_eq!(SpmvFormat::from_code(f.to_code()), Some(f));
+        }
     }
 
     #[test]
     fn set_and_get_knob() {
         let before = spmv_format();
-        set_spmv_format(SpmvFormat::CsrUnrolled4);
-        assert_eq!(spmv_format(), SpmvFormat::CsrUnrolled4);
+        set_spmv_format(SpmvFormat::SymCsr);
+        assert_eq!(spmv_format(), SpmvFormat::SymCsr);
         set_spmv_format(before);
     }
 }

@@ -8,7 +8,7 @@
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 
 use crate::coo::CooMatrix;
-use crate::csr::CsrMatrix;
+use crate::csr::{check_index_width, CsrMatrix};
 use crate::error::SparseError;
 
 /// Symmetry declared in a Matrix Market header.
@@ -83,6 +83,8 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CsrMatrix, SparseError> 
         )));
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
+    // Refuse a shape the CSR index type cannot hold before reading entries.
+    check_index_width(ncols)?;
 
     // Trust the declared count only up to what the stream can actually
     // hold: a malformed size line must not become a giant allocation.
@@ -140,7 +142,7 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CsrMatrix, SparseError> 
             "entry count mismatch: header said {nnz}, file had {seen}"
         )));
     }
-    Ok(coo.to_csr())
+    coo.to_csr()
 }
 
 /// Writes a matrix in `coordinate real general` format.
@@ -283,6 +285,17 @@ mod tests {
         assert!(matches!(
             read_matrix_market(text.as_bytes()),
             Err(SparseError::ParseError(_))
+        ));
+    }
+
+    #[test]
+    fn columns_past_u32_are_rejected_at_the_size_line() {
+        let text = "%%MatrixMarket matrix coordinate real general\n\
+                    1 4294967296 1\n\
+                    1 1 1.0\n";
+        assert!(matches!(
+            read_matrix_market(text.as_bytes()),
+            Err(SparseError::InvalidArgument(_))
         ));
     }
 

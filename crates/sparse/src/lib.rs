@@ -7,9 +7,9 @@
 //!   construction, validation and SPD-diagnostic utilities the solvers rely
 //!   on, plus a cache-friendly sparse matrix–vector product.
 //! * [`format`] / [`sell`] / [`symcsr`] — the kernel-format tier: a
-//!   process-wide SpMV format knob dispatching between scalar CSR,
-//!   register-blocked CSR, SELL-C-σ and symmetric-CSR kernel bodies, all
-//!   bitwise identical per row at any thread count.
+//!   process-wide SpMV format knob dispatching between the CSR (`u32`
+//!   indices, four rows in lockstep), SELL-C-σ and symmetric-CSR kernel
+//!   bodies, all bitwise identical per row at any thread count.
 //! * [`MultiVector`] — a column-major `N × s` block of vectors with the block
 //!   linear-combination kernels (`X += Y·B`, `X = Y − Z·α`, Gram products)
 //!   that realise the paper's recurrence LCs.

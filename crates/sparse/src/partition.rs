@@ -152,6 +152,7 @@ pub fn halo_stats(a: &CsrMatrix, part: &RowBlockPartition) -> HaloStats {
         ghosts.clear();
         for row in lo..hi {
             for &c in a.row_cols(row) {
+                let c = c as usize;
                 if c < lo || c >= hi {
                     ghosts.push(c);
                 }
@@ -218,6 +219,7 @@ pub fn halo_plan(a: &CsrMatrix, part: &RowBlockPartition) -> HaloPlan {
         let mut ghosts: Vec<usize> = Vec::new();
         for row in lo..hi {
             for &c in a.row_cols(row) {
+                let c = c as usize;
                 if c < lo || c >= hi {
                     ghosts.push(c);
                 }

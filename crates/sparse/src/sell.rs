@@ -28,9 +28,9 @@
 //!
 //! Parallel runs partition *chunks* into jobs balanced by padded nnz —
 //! a function of structure and knobs only, never the thread count — and
-//! each job scatters its finished rows through the permutation. Indices
-//! are `u32` (conversion fails past `u32::MAX` rows/cols), cutting index
-//! traffic from 8 B to 4 B per stored entry.
+//! each job scatters its finished rows through the permutation. Column
+//! indices are the CSR's own `u32`s, copied as they are; the row
+//! permutation is `u32` too, so conversion fails past `u32::MAX` rows.
 
 use pscg_par::{sync_trace, DisjointMut, Pool};
 
@@ -69,13 +69,12 @@ pub struct SellMatrix {
 impl SellMatrix {
     /// Converts a CSR matrix, reading σ and the parallel chunk target from
     /// [`pscg_par::knobs`]. Fails with [`SparseError::InvalidArgument`] when
-    /// a row or column index does not fit `u32`.
+    /// a row index does not fit the `u32` permutation.
     pub fn from_csr(a: &CsrMatrix) -> Result<SellMatrix, SparseError> {
-        if a.nrows() > u32::MAX as usize || a.ncols() > u32::MAX as usize {
+        if a.nrows() > u32::MAX as usize {
             return Err(SparseError::InvalidArgument(format!(
-                "SELL-C-σ uses u32 indices; {}x{} exceeds u32::MAX",
-                a.nrows(),
-                a.ncols()
+                "SELL-C-σ uses a u32 row permutation; {} rows exceed u32::MAX",
+                a.nrows()
             )));
         }
         let nrows = a.nrows();
@@ -117,7 +116,7 @@ impl SellMatrix {
                 let orig = perm[base + r] as usize;
                 let (lo, hi) = (row_ptr[orig], row_ptr[orig + 1]);
                 for (k, idx) in (lo..hi).enumerate() {
-                    cols[off + k * SELL_C + r] = a.col_idx()[idx] as u32;
+                    cols[off + k * SELL_C + r] = a.col_idx()[idx];
                     vals[off + k * SELL_C + r] = a.vals()[idx];
                 }
             }
@@ -202,7 +201,7 @@ impl SellMatrix {
             row_ptr[i + 1] += row_ptr[i];
         }
         let nnz = row_ptr[self.nrows];
-        let mut col_idx = vec![0usize; nnz];
+        let mut col_idx = vec![0u32; nnz];
         let mut vals = vec![0.0f64; nnz];
         for (slot, &orig) in self.perm.iter().enumerate() {
             let ch = slot / SELL_C;
@@ -210,7 +209,7 @@ impl SellMatrix {
             let off = self.chunk_ptr[ch];
             let dst = row_ptr[orig as usize];
             for k in 0..self.row_len[slot] as usize {
-                col_idx[dst + k] = self.cols[off + k * SELL_C + r] as usize;
+                col_idx[dst + k] = self.cols[off + k * SELL_C + r];
                 vals[dst + k] = self.vals[off + k * SELL_C + r];
             }
         }
@@ -328,7 +327,7 @@ mod tests {
         for r in 0..a.nrows() {
             let mut acc = 0.0;
             for (k, &c) in a.row_cols(r).iter().enumerate() {
-                acc += a.row_vals(r)[k] * x[c];
+                acc += a.row_vals(r)[k] * x[c as usize];
             }
             y[r] = acc;
         }
@@ -349,7 +348,7 @@ mod tests {
             }
         }
         // row 7 stays empty
-        coo.to_csr()
+        coo.to_csr().unwrap()
     }
 
     #[test]

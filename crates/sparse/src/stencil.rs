@@ -21,7 +21,7 @@
 //! indices, so no sort is needed. This matters at the paper's scale: the
 //! 125-pt operator on 100³ has ~1.2·10⁸ stored entries.
 
-use crate::csr::CsrMatrix;
+use crate::csr::{check_index_width, CsrMatrix};
 
 /// A regular 3-D grid with lexicographic ordering: `idx = x + nx·(y + ny·z)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,8 +219,16 @@ pub fn sort_offsets(offsets: &mut [StencilEntry]) {
 /// (Dirichlet). The result is a sum of positive-semidefinite edge matrices
 /// plus a positive boundary term, hence SPD, with the conditioning of a
 /// Laplacian (κ = Θ(h⁻²)) rather than a shifted operator.
+///
+/// # Panics
+/// When the grid has more than `u32::MAX` points (the CSR column index
+/// type) — checked before anything is allocated.
 pub fn assemble(grid: Grid3, stencil: &[StencilEntry], coeff: Option<&[f64]>) -> CsrMatrix {
     let n = grid.len();
+    assert!(
+        check_index_width(n).is_ok(),
+        "assemble: {n} grid points exceed the u32 column index"
+    );
     if let Some(c) = coeff {
         assert_eq!(c.len(), n, "assemble: coefficient field length mismatch");
     }
@@ -253,7 +261,7 @@ pub fn assemble(grid: Grid3, stencil: &[StencilEntry], coeff: Option<&[f64]>) ->
         row_ptr[i + 1] += row_ptr[i];
     }
     let nnz = row_ptr[n];
-    let mut col_idx = vec![0usize; nnz];
+    let mut col_idx = vec![0u32; nnz];
     let mut vals = vec![0.0f64; nnz];
 
     let hmean = |a: f64, b: f64| 2.0 * a * b / (a + b);
@@ -281,7 +289,7 @@ pub fn assemble(grid: Grid3, stencil: &[StencilEntry], coeff: Option<&[f64]>) ->
                     let cj = coeff.map_or(1.0, |cc| cc[c]);
                     let w = e.w * hmean(ci, cj);
                     diag += w;
-                    col_idx[k] = c;
+                    col_idx[k] = c as u32;
                     vals[k] = -w;
                     k += 1;
                 }
@@ -289,7 +297,7 @@ pub fn assemble(grid: Grid3, stencil: &[StencilEntry], coeff: Option<&[f64]>) ->
                     diag_slot = k;
                     k += 1;
                 }
-                col_idx[diag_slot] = r;
+                col_idx[diag_slot] = r as u32;
                 vals[diag_slot] = diag;
                 debug_assert_eq!(k, row_ptr[r + 1]);
             }
@@ -417,7 +425,7 @@ mod tests {
             .row_cols(r)
             .iter()
             .zip(a.row_vals(r))
-            .filter(|(&c, _)| c != r)
+            .filter(|(&c, _)| c as usize != r)
             .map(|(_, v)| v.abs())
             .sum();
         assert!(a.get(r, r) > offsum);

@@ -20,7 +20,7 @@
 //! coefficient fields: log-uniform cellwise conductivities for thermal2 and a
 //! layered, high-contrast field for Serena.
 
-use crate::csr::CsrMatrix;
+use crate::csr::{check_index_width, CsrMatrix};
 use crate::error::SparseError;
 use crate::rng::SplitMix64;
 use crate::stencil::{self, Grid3};
@@ -83,7 +83,7 @@ impl Surrogate {
                 "surrogate scale must be in (0, 1], got {scale}"
             )));
         }
-        Ok(match self {
+        match self {
             Surrogate::Ecology2 => {
                 let f = scale.sqrt();
                 let nx = ((999.0 * f).round() as usize).max(3);
@@ -101,20 +101,24 @@ impl Surrogate {
                 let nz = ((111.0 * f).round() as usize).max(5);
                 serena_like(Grid3::new(nx, nx, nz), 0x5e4e4a)
             }
-        })
+        }
     }
 }
 
 /// ecology2 surrogate: anisotropic 2-D 5-point diffusion. The mild (4:1)
 /// anisotropy slows CG convergence under Jacobi the way the real landscape
-/// resistances do.
-pub fn ecology2_like(nx: usize, ny: usize) -> CsrMatrix {
-    stencil::poisson2d_5pt(nx, ny, 1.0, 0.25)
+/// resistances do. Like its siblings, fails with
+/// [`SparseError::InvalidArgument`] — before allocating anything — when the
+/// grid has more points than the `u32` column index can address.
+pub fn ecology2_like(nx: usize, ny: usize) -> Result<CsrMatrix, SparseError> {
+    check_index_width(nx.saturating_mul(ny))?;
+    Ok(stencil::poisson2d_5pt(nx, ny, 1.0, 0.25))
 }
 
 /// thermal2 surrogate: 3-D 7-point operator with log-uniform cellwise
 /// conductivities spanning three orders of magnitude.
-pub fn thermal2_like(grid: Grid3, seed: u64) -> CsrMatrix {
+pub fn thermal2_like(grid: Grid3, seed: u64) -> Result<CsrMatrix, SparseError> {
+    check_index_width(grid.len())?;
     let mut rng = SplitMix64::new(seed);
     let coeff: Vec<f64> = (0..grid.len())
         .map(|_| {
@@ -122,13 +126,14 @@ pub fn thermal2_like(grid: Grid3, seed: u64) -> CsrMatrix {
             10f64.powf(e)
         })
         .collect();
-    stencil::poisson3d_7pt(grid, Some(&coeff))
+    Ok(stencil::poisson3d_7pt(grid, Some(&coeff)))
 }
 
 /// Serena surrogate: wide (44-neighbour) stencil with a layered
 /// high-contrast coefficient field — stiff layers alternating with soft ones
 /// along z, plus pointwise jitter, mimicking a reservoir's rock strata.
-pub fn serena_like(grid: Grid3, seed: u64) -> CsrMatrix {
+pub fn serena_like(grid: Grid3, seed: u64) -> Result<CsrMatrix, SparseError> {
+    check_index_width(grid.len())?;
     let mut rng = SplitMix64::new(seed);
     let mut coeff = vec![0.0f64; grid.len()];
     for z in 0..grid.nz {
@@ -141,7 +146,11 @@ pub fn serena_like(grid: Grid3, seed: u64) -> CsrMatrix {
             }
         }
     }
-    stencil::assemble(grid, &stencil::wide_stencil_3d(), Some(&coeff))
+    Ok(stencil::assemble(
+        grid,
+        &stencil::wide_stencil_3d(),
+        Some(&coeff),
+    ))
 }
 
 #[cfg(test)]
@@ -151,7 +160,7 @@ mod tests {
     #[test]
     fn ecology2_full_scale_counts_match_paper() {
         // Structure only — build at full scale is ~5M nnz, fast enough.
-        let a = ecology2_like(999, 1001);
+        let a = ecology2_like(999, 1001).unwrap();
         assert_eq!(a.nrows(), Surrogate::Ecology2.paper_n());
         // The real ecology2 drops 4 entries relative to a pure 5-pt grid
         // operator; the surrogate is within 4 of the paper's 4 995 991.
@@ -185,18 +194,31 @@ mod tests {
     }
 
     #[test]
+    fn grids_past_u32_points_are_a_typed_error_before_any_allocation() {
+        let side = 1usize << 16; // side² = u32::MAX + 1 points
+        let errs = [
+            ecology2_like(side, side).unwrap_err(),
+            thermal2_like(Grid3::new(side, side, 1), 1).unwrap_err(),
+            serena_like(Grid3::new(side, side, 1), 1).unwrap_err(),
+        ];
+        for e in errs {
+            assert!(matches!(e, SparseError::InvalidArgument(_)), "got {e:?}");
+        }
+    }
+
+    #[test]
     fn thermal2_is_seeded_deterministic() {
         let g = Grid3::cube(6);
-        let a = thermal2_like(g, 42);
-        let b = thermal2_like(g, 42);
-        let c = thermal2_like(g, 43);
+        let a = thermal2_like(g, 42).unwrap();
+        let b = thermal2_like(g, 42).unwrap();
+        let c = thermal2_like(g, 43).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
 
     #[test]
     fn serena_nnz_per_row_near_45() {
-        let a = serena_like(Grid3::new(14, 14, 14), 7);
+        let a = serena_like(Grid3::new(14, 14, 14), 7).unwrap();
         // Interior rows have 44 neighbours + diagonal.
         let per_row = a.avg_nnz_per_row();
         assert!(per_row > 30.0 && per_row <= 45.0, "avg nnz/row = {per_row}");

@@ -12,8 +12,8 @@
 //! and `a_rc = a_cr` bitwise lets the scatter part be produced from the
 //! *stored upper* entries of earlier rows: entry `(r', c)` with `r' < c`
 //! contributes `a_r'c·x_c` to `y[r']` (gather) and `a_r'c·x_r'` to `y[c]`
-//! (scatter). Each stored entry is read once — ≈6 B per logical nnz with
-//! `u32` upper column indices, against 16 B for CSR.
+//! (scatter). Each stored entry is read once — ≈6 B per logical nnz,
+//! against 12 B for CSR.
 //!
 //! **Determinism argument.** The scalar CSR kernel folds row `r`
 //! left-associatively over ascending columns from an initial `0.0`.
@@ -82,20 +82,13 @@ impl SymCsrMatrix {
     /// ([`SparseError::NotSquare`]) and input that is not *exactly*
     /// (bitwise) symmetric ([`SparseError::NotSymmetric`]) — bitwise
     /// symmetry is what makes the halved-storage kernel bitwise equal to
-    /// the CSR kernel. Fails with [`SparseError::InvalidArgument`] past
-    /// `u32::MAX` columns.
+    /// the CSR kernel.
     pub fn try_from_csr(a: &CsrMatrix) -> Result<SymCsrMatrix, SparseError> {
         if a.nrows() != a.ncols() {
             return Err(SparseError::NotSquare {
                 nrows: a.nrows(),
                 ncols: a.ncols(),
             });
-        }
-        if a.ncols() > u32::MAX as usize {
-            return Err(SparseError::InvalidArgument(format!(
-                "symmetric CSR uses u32 indices; {} columns exceed u32::MAX",
-                a.ncols()
-            )));
         }
         let n = a.nrows();
         let t = a.transpose();
@@ -105,7 +98,9 @@ impl SymCsrMatrix {
             // difference by row scan).
             for r in 0..n {
                 for &c in a.row_cols(r) {
-                    if !a.row_cols(c).contains(&r) {
+                    let c = c as usize;
+                    // `r < n <= u32::MAX`: the matrix is square.
+                    if !a.row_cols(c).contains(&(r as u32)) {
                         return Err(SparseError::NotSymmetric { row: r, col: c });
                     }
                 }
@@ -116,7 +111,10 @@ impl SymCsrMatrix {
             for (k, &c) in a.row_cols(r).iter().enumerate() {
                 // Bitwise comparison: NaN or ±0.0 mismatches also reject.
                 if a.row_vals(r)[k].to_bits() != t.row_vals(r)[k].to_bits() {
-                    return Err(SparseError::NotSymmetric { row: r, col: c });
+                    return Err(SparseError::NotSymmetric {
+                        row: r,
+                        col: c as usize,
+                    });
                 }
             }
         }
@@ -128,10 +126,10 @@ impl SymCsrMatrix {
         for r in 0..n {
             for (k, &c) in a.row_cols(r).iter().enumerate() {
                 let v = a.row_vals(r)[k];
-                if c == r {
+                if c as usize == r {
                     diag[r] = v;
-                } else if c > r {
-                    up_cols.push(c as u32);
+                } else if c as usize > r {
+                    up_cols.push(c);
                     up_vals.push(v);
                 }
             }
@@ -326,7 +324,7 @@ mod tests {
         for r in 0..a.nrows() {
             let mut acc = 0.0;
             for (k, &c) in a.row_cols(r).iter().enumerate() {
-                acc += a.row_vals(r)[k] * x[c];
+                acc += a.row_vals(r)[k] * x[c as usize];
             }
             y[r] = acc;
         }

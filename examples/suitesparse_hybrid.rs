@@ -26,7 +26,7 @@ fn main() {
         }
         None => {
             println!("no matrix given; generating an ecology2-like surrogate (use --help)");
-            suitesparse::ecology2_like(120, 121)
+            suitesparse::ecology2_like(120, 121).expect("a 120 x 121 grid fits u32 indices")
         }
     };
     assert!(

@@ -1,13 +1,13 @@
 //! Determinism contract of the SpMV storage formats (DESIGN.md §12): the
 //! format knob is a pure performance dial. Every format must produce
-//! **bitwise** the same solves as the scalar CSR reference, at every
+//! **bitwise** the same solves as the CSR 1-thread reference, at every
 //! thread count, for every shipped method — because each format keeps the
 //! per-row ascending-column accumulation order and derives its chunk
 //! boundaries from structure + knobs only, never from the pool width.
 //!
 //! The chunk knobs are pinned small here so the 8³ test problem really
 //! splits: the SELL-C-σ scatter path, the symmetric two-phase reduction
-//! and the register-blocked row kernels all run multi-chunk at 4 threads.
+//! and the 4-row CSR kernel all run multi-chunk at 4 threads.
 //! Every test function installs the *same* knob values, so the
 //! process-global settings are race-free under the parallel test runner;
 //! the one test that sweeps the *format* knob is the knob's only writer
@@ -90,12 +90,13 @@ fn run(method: MethodKind, a: &CsrMatrix, b: &[f64]) -> (Vec<u64>, Vec<u64>) {
     (bits(&res.history), bits(&res.x))
 }
 
-/// Every method × every format × {1, 4} threads: all bitwise equal to the
-/// scalar-CSR 1-thread reference. A single `#[test]` keeps the global
+/// Every method × the three formats × {1, 4} threads: all bitwise equal to
+/// the CSR 1-thread reference. A single `#[test]` keeps the global
 /// format/thread settings single-writer.
 #[test]
 fn every_method_is_bitwise_invariant_across_formats_and_threads() {
     pin_knobs();
+    assert_eq!(SpmvFormat::ALL.len(), 3);
     let a = poisson3d_7pt(Grid3::cube(8), None);
     let b = a.mul_vec(&vec![1.0; a.nrows()]);
 
@@ -165,7 +166,7 @@ fn scalar_spmv(a: &CsrMatrix, x: &[f64]) -> Vec<f64> {
         .map(|r| {
             let mut acc = 0.0;
             for k in rp[r]..rp[r + 1] {
-                acc += vs[k] * x[ci[k]];
+                acc += vs[k] * x[ci[k] as usize];
             }
             acc
         })
@@ -187,11 +188,12 @@ fn spd_stencils(rng: &mut SplitMix64) -> Vec<CsrMatrix> {
         // (c,r) entries evaluate the *same* rounded expression — exact
         // (bitwise) symmetry is what `try_from_csr` demands.
         let d: Vec<f64> = (0..a.nrows()).map(|_| rng.uniform(0.5, 2.0)).collect();
-        let (rp, ci): (Vec<usize>, Vec<usize>) = (a.row_ptr().to_vec(), a.col_idx().to_vec());
+        let (rp, ci): (Vec<usize>, Vec<u32>) = (a.row_ptr().to_vec(), a.col_idx().to_vec());
         let vals = a.vals_mut();
         for r in 0..rp.len() - 1 {
             for k in rp[r]..rp[r + 1] {
-                let (lo, hi) = (r.min(ci[k]), r.max(ci[k]));
+                let c = ci[k] as usize;
+                let (lo, hi) = (r.min(c), r.max(c));
                 vals[k] = d[lo] * vals[k] * d[hi];
             }
         }
@@ -238,7 +240,7 @@ fn non_symmetric_input_is_rejected_with_a_typed_error() {
         coo.push(i, i, 2.0).unwrap();
     }
     coo.push(0, 2, 1.0).unwrap();
-    let a = coo.to_csr();
+    let a = coo.to_csr().unwrap();
     match SymCsrMatrix::try_from_csr(&a) {
         Err(SparseError::NotSymmetric { row: 0, col: 2 }) => {}
         other => panic!("expected NotSymmetric {{0, 2}}, got {other:?}"),
@@ -251,7 +253,7 @@ fn non_symmetric_input_is_rejected_with_a_typed_error() {
     coo.push(0, 1, 1.0).unwrap();
     coo.push(1, 0, f64::from_bits(1.0f64.to_bits() + 1))
         .unwrap();
-    let a = coo.to_csr();
+    let a = coo.to_csr().unwrap();
     assert!(
         matches!(
             SymCsrMatrix::try_from_csr(&a),
@@ -263,7 +265,7 @@ fn non_symmetric_input_is_rejected_with_a_typed_error() {
     // A rectangular matrix is a different typed error.
     let mut coo = CooMatrix::new(2, 3);
     coo.push(0, 0, 1.0).unwrap();
-    let a = coo.to_csr();
+    let a = coo.to_csr().unwrap();
     assert!(matches!(
         SymCsrMatrix::try_from_csr(&a),
         Err(SparseError::NotSquare { nrows: 2, ncols: 3 })

@@ -21,7 +21,7 @@ fn problems() -> Vec<(String, CsrMatrix, Option<Grid3>)> {
         ("aniso2d".into(), poisson2d_5pt(18, 15, 1.0, 0.25), None),
         (
             "thermal-like".into(),
-            suitesparse::thermal2_like(Grid3::cube(6), 3),
+            suitesparse::thermal2_like(Grid3::cube(6), 3).unwrap(),
             None,
         ),
     ]

@@ -93,11 +93,11 @@ fn fp32_overflow_falls_back_to_fp64_cleanly() {
     let mut a = poisson3d_7pt(Grid3::cube(6), None);
     let n = a.nrows();
     let d: Vec<f64> = (0..n).map(|i| if i < 8 { 1e-30 } else { 1.0 }).collect();
-    let (rp, ci): (Vec<usize>, Vec<usize>) = (a.row_ptr().to_vec(), a.col_idx().to_vec());
+    let (rp, ci): (Vec<usize>, Vec<u32>) = (a.row_ptr().to_vec(), a.col_idx().to_vec());
     let vals = a.vals_mut();
     for r in 0..n {
         for k in rp[r]..rp[r + 1] {
-            vals[k] *= d[r] * d[ci[k]];
+            vals[k] *= d[r] * d[ci[k] as usize];
         }
     }
     let b = a.mul_vec(&vec![1.0; n]);

@@ -103,7 +103,7 @@ fn random_csr(rng: &mut SplitMix64, n: usize) -> CsrMatrix {
     for i in 0..n {
         coo.push(i, i, 2.0).unwrap();
     }
-    coo.to_csr()
+    coo.to_csr().unwrap()
 }
 
 #[test]

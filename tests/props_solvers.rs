@@ -28,7 +28,7 @@ fn spd_matrix(rng: &mut SplitMix64, max_n: usize) -> CsrMatrix {
     for i in 0..n {
         coo.push(i, i, diag_scale * (6.0 + n as f64)).unwrap();
     }
-    coo.to_csr()
+    coo.to_csr().unwrap()
 }
 
 #[test]

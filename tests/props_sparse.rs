@@ -7,6 +7,7 @@
 //! [`pscg_sparse::SplitMix64`]; failures report the seed so a case can be
 //! replayed exactly.
 
+use pscg_par::Pool;
 use pscg_sparse::dense::DenseMatrix;
 use pscg_sparse::{kernels, CooMatrix, CsrMatrix, MultiVector, SplitMix64};
 
@@ -27,7 +28,77 @@ fn spd_matrix(rng: &mut SplitMix64, max_n: usize) -> CsrMatrix {
         // the random triples (duplicates sum, so bound by count).
         coo.push(i, i, 4.0 * n as f64).unwrap();
     }
-    coo.to_csr()
+    coo.to_csr().unwrap()
+}
+
+/// A random ragged rectangular matrix from raw `u32`-indexed arrays: row
+/// lengths from 0 (empty) to `ncols`, skewed short so blocks of four rows
+/// rarely agree, each row a uniformly drawn ascending column subset.
+fn ragged_matrix(rng: &mut SplitMix64) -> CsrMatrix {
+    let nrows = 1 + rng.below(40);
+    let ncols = 1 + rng.below(60);
+    let mut row_ptr = vec![0usize];
+    let (mut col_idx, mut vals) = (Vec::new(), Vec::new());
+    for _ in 0..nrows {
+        let mut need = match rng.below(4) {
+            0 => 0,
+            1 => 1,
+            2 => rng.below(ncols.min(6) + 1),
+            _ => rng.below(ncols + 1),
+        }
+        .min(ncols);
+        for c in 0..ncols {
+            if need > 0 && rng.below(ncols - c) < need {
+                col_idx.push(c as u32);
+                vals.push(rng.uniform(-2.0, 2.0));
+                need -= 1;
+            }
+        }
+        row_ptr.push(col_idx.len());
+    }
+    CsrMatrix::from_raw_parts(nrows, ncols, row_ptr, col_idx, vals).unwrap()
+}
+
+/// The one CSR kernel (four rows in lockstep + scalar tail) against a
+/// hand-rolled one-chain-per-row loop: bitwise, on ragged matrices, for the
+/// full product and odd `spmv_rows` windows, on pools of 1/2/4/7 threads.
+#[test]
+fn csr_kernel_is_bitwise_the_scalar_row_loop() {
+    // Small chunks so the larger cases split across the pool; every test in
+    // this binary computes the same bits at any chunking.
+    pscg_par::knobs::set_spmv_chunk_nnz(97);
+    let pools: Vec<Pool> = [1, 2, 4, 7].into_iter().map(Pool::new).collect();
+    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    for seed in 0..64u64 {
+        let mut rng = SplitMix64::new(0xb10c ^ seed);
+        let a = ragged_matrix(&mut rng);
+        let x: Vec<f64> = (0..a.ncols()).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let want: Vec<f64> = (0..a.nrows())
+            .map(|r| {
+                let mut acc = 0.0;
+                for (k, &c) in a.row_cols(r).iter().enumerate() {
+                    acc += a.row_vals(r)[k] * x[c as usize];
+                }
+                acc
+            })
+            .collect();
+        let (lo, hi) = {
+            let lo = rng.below(a.nrows());
+            (lo, lo + rng.below(a.nrows() - lo + 1))
+        };
+        for pool in &pools {
+            let mut y = vec![f64::NAN; a.nrows()];
+            a.spmv_with(pool, &x, &mut y);
+            assert_eq!(bits(&y), bits(&want), "seed {seed}");
+            let mut part = vec![f64::NAN; hi - lo];
+            a.spmv_rows_with(pool, lo, hi, &x, &mut part);
+            assert_eq!(
+                bits(&part),
+                bits(&want[lo..hi]),
+                "seed {seed} rows {lo}..{hi}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -133,7 +204,7 @@ fn lu_solves_what_it_factors() {
         let mut d = DenseMatrix::zeros(n, n);
         for r in 0..n {
             for (k, &c) in a.row_cols(r).iter().enumerate() {
-                d.set(r, c, a.row_vals(r)[k]);
+                d.set(r, c as usize, a.row_vals(r)[k]);
             }
         }
         let xstar: Vec<f64> = (0..n)
