@@ -8,9 +8,11 @@
 //! ```
 //!
 //! Measures the hot paths of the s-step overlap window — SpMV, the blocked
-//! Gram product, one fused update sweep (`fused_update`) and the whole
-//! fused recurrence pass of a PIPE-PsCG iteration (`fused_step`, reported
-//! with its computed GB/s over the unique columns it touches) — on the 7-pt
+//! Gram product, one fused update sweep (`fused_update`), the whole
+//! in-place recurrence pass of a PIPE-PsCG iteration with its Gram packet
+//! (`fused_step`) and the Gram packet kernel alone (`gram_packet`), the
+//! last two reported with their computed GB/s over the unique columns they
+//! move — on the 7-pt
 //! Poisson stencil at `N³` (default 256³, the CI perf-smoke problem), each
 //! at every thread count in `--threads` (default `1,4`). SpMV is measured
 //! once per storage format in `--formats` (default: all of
@@ -48,7 +50,9 @@ use pscg_bench::microbench::{gflops_per_sec, Group};
 use pscg_bench::perf_report::spmv_model_bytes_per_nnz;
 use pscg_obs::SpanKind;
 use pscg_par::{knobs, stats::PoolStats, Pool};
-use pscg_sparse::multivec::{fused_recurrence_step_with, RecurrenceFamily};
+use pscg_sparse::multivec::{
+    fused_recurrence_step_with, gram_packet_with, GramPacketBuf, RecurrenceFamily,
+};
 use pscg_sparse::stencil::{poisson3d_7pt, Grid3};
 use pscg_sparse::{set_spmv_format, CsrMatrix, MultiVector, SpmvFormat};
 
@@ -65,24 +69,22 @@ struct Cell {
     /// Cost-model traffic for this format (DESIGN.md §13): what the
     /// roofline attribution will assume per nonzero.
     model_bytes_per_nnz: Option<f64>,
-    /// `fused_step` only: the rows it ran on and the computed GB/s, each
-    /// unique column counted once (read or written).
+    /// `fused_step` and `gram_packet` only: the rows they ran on and the
+    /// computed GB/s, each unique column counted once per direction it
+    /// moves (read, and written back if updated).
     streamed: Option<(usize, f64)>,
 }
 
-/// Rows of the `fused_step` cell: its two families hold `4s² + 16s + 4`
-/// columns (132 at s = 4), so it runs on a prefix of the grid that keeps
-/// them near 1 GB whatever `--grid` says.
+/// Rows of the `fused_step` and `gram_packet` cells: the two families hold
+/// `2s² + 8s + 2` columns (66 at s = 4), so they run on a prefix of the
+/// grid that keeps them near 0.5 GB whatever `--grid` says.
 const FUSED_STEP_MAX_ROWS: usize = 1 << 20;
 
-/// The six blocks of one power family, seeded.
+/// The blocks of one power family, seeded.
 struct FamilyBlocks {
     pow: MultiVector,
-    pow_next: MultiVector,
     dirs: MultiVector,
-    dirs_next: MultiVector,
     apow: Vec<MultiVector>,
-    apow_next: Vec<MultiVector>,
 }
 
 impl FamilyBlocks {
@@ -96,22 +98,16 @@ impl FamilyBlocks {
         };
         FamilyBlocks {
             pow: block(2 * s + 1, 1),
-            pow_next: block(2 * s + 1, 2),
             dirs: block(s, 3),
-            dirs_next: block(s, 4),
             apow: (0..=s).map(|w| block(s, 5 + w)).collect(),
-            apow_next: (0..=s).map(|w| block(s, 50 + w)).collect(),
         }
     }
 
     fn family(&mut self) -> RecurrenceFamily<'_> {
         RecurrenceFamily {
-            pow: &self.pow,
-            pow_next: &mut self.pow_next,
-            dirs: &self.dirs,
-            dirs_next: &mut self.dirs_next,
-            apow: &self.apow,
-            apow_next: &mut self.apow_next,
+            pow: &mut self.pow,
+            dirs: &mut self.dirs,
+            apow: &mut self.apow,
         }
     }
 }
@@ -210,7 +206,7 @@ fn warm_up(pool: &Pool, a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
 }
 
 /// Workload of one fused update sweep: `dst = src[:, 1..s+1] + prev·B`
-/// followed by one `dst_col = src_col − X·a` basis shift.
+/// followed by one `col −= X·a` basis shift.
 fn fused_flops(n: usize, s: usize) -> u64 {
     (2 * s * s * n + 2 * s * n) as u64
 }
@@ -245,13 +241,19 @@ fn bench_all(cfg: &Config, a: &CsrMatrix) -> Vec<Cell> {
     let alpha: Vec<f64> = (0..s).map(|k| 0.1 + 0.05 * k as f64).collect();
     let mut shift = vec![0.0; n];
 
-    // The whole recurrence pass of one PIPE-PsCG iteration: both families.
+    // The whole recurrence pass of one PIPE-PsCG iteration: both families,
+    // in place, and the Gram packet of the new bases.
     let nf = n.min(FUSED_STEP_MAX_ROWS);
     let (mut ufam, mut rfam) = (FamilyBlocks::new(nf, s, 0), FamilyBlocks::new(nf, s, 7));
+    let mut packet = GramPacketBuf::new(s);
+    // The packet per row: 2s(s+1) + 2 products; it reads 3s + 1 columns.
+    let gp_fl = (2 * (2 * s * (s + 1) + 2) * nf) as u64;
+    let gp_bytes = ((3 * s + 1) * nf * 8) as f64;
     // Per family and row: s + 2 conjugation windows of s columns (2s flops
-    // each) and s + 1 shifts (2s flops); unique columns read 2s+1 + s +
-    // s(s+1), written s + s(s+1) + s+1.
-    let fs_fl = (2 * (2 * s * s * (s + 2) + 2 * s * (s + 1)) * nf) as u64;
+    // each) and s + 1 shifts (2s flops). Unique columns per family: read
+    // 2s+1 + s + s(s+1) (44 for both at s = 3), written back s + s(s+1) +
+    // s+1 (38); the packet reads nothing that is not already in cache.
+    let fs_fl = (2 * (2 * s * s * (s + 2) + 2 * s * (s + 1)) * nf) as u64 + gp_fl;
     let fs_bytes = (2 * (2 * s * s + 7 * s + 2) * nf * 8) as f64;
 
     let entry_format = pscg_sparse::spmv_format();
@@ -311,12 +313,7 @@ fn bench_all(cfg: &Config, a: &CsrMatrix) -> Vec<Cell> {
             let _sp = pscg_obs::span_arg(SpanKind::Bench, t as u64);
             group.bench_flops("fused_update", (s * n) as u64, fu_fl, || {
                 dst.combine_window_with(&pool, std::hint::black_box(&src), 1, &prev, &bmat);
-                prev.gemv_sub_into_with(
-                    &pool,
-                    &alpha,
-                    src.col(0),
-                    std::hint::black_box(&mut shift),
-                );
+                prev.gemv_sub_with(&pool, &alpha, std::hint::black_box(&mut shift));
             })
         };
         cells.push(Cell {
@@ -340,6 +337,7 @@ fn bench_all(cfg: &Config, a: &CsrMatrix) -> Vec<Cell> {
                     &bmat,
                     &alpha,
                     true,
+                    &mut packet,
                 );
             })
         };
@@ -352,6 +350,29 @@ fn bench_all(cfg: &Config, a: &CsrMatrix) -> Vec<Cell> {
             bytes_per_nnz: None,
             model_bytes_per_nnz: None,
             streamed: Some((nf, fs_bytes / m / 1e9)),
+        });
+
+        let m = {
+            let _sp = pscg_obs::span_arg(SpanKind::Bench, t as u64);
+            group.bench_flops("gram_packet", (s * nf) as u64, gp_fl, || {
+                gram_packet_with(
+                    &pool,
+                    std::hint::black_box(&ufam.pow),
+                    &rfam.pow,
+                    &ufam.dirs,
+                    &mut packet,
+                );
+            })
+        };
+        cells.push(Cell {
+            kernel: "gram_packet",
+            format: None,
+            threads: t,
+            median_secs: m,
+            gflops: gflops_per_sec(gp_fl, m),
+            bytes_per_nnz: None,
+            model_bytes_per_nnz: None,
+            streamed: Some((nf, gp_bytes / m / 1e9)),
         });
     }
     cells
@@ -452,7 +473,7 @@ fn write_json(
             speedup(cells, "spmv", Some(f), tmax),
         ));
     }
-    for k in ["gram", "fused_update", "fused_step"] {
+    for k in ["gram", "fused_update", "fused_step", "gram_packet"] {
         keys.push((cell_key(k, None, tmax), speedup(cells, k, None, tmax)));
     }
     for (i, (key, sp)) in keys.iter().enumerate() {

@@ -54,10 +54,13 @@ pub fn method_by_name(name: &str) -> Option<MethodKind> {
 /// cost and the SpMV/preconditioner cost models.
 ///
 /// The IR's `Dot` nodes price both the recorded `dot` spans (classic
-/// methods) and the `gram` spans (s-step methods) — the solvers label the
-/// same `LocalKind::Dot` work differently, so both span kinds get the
-/// body-average dot cost. Per-call figures are body-pass averages: total
-/// modelled work of that kind in one pass divided by its node count.
+/// methods: one span per node, so the per-call figure is the body-pass
+/// average, total modelled dot work of one pass over its node count) and
+/// the `gram` spans (s-step methods: one span per Gram packet, which is all
+/// the dot work of a pass, so the per-call figure is that total). In the
+/// pipelined s-step methods the packet of a recurrence pass is formed
+/// inside its `combine` span from cache-resident rows: only the set-up and
+/// replacement packets appear as `gram` spans.
 ///
 /// `Combine` is the exception: its model carries the work of one whole
 /// **body pass**, not of one call. How many `combine` spans a pass records
@@ -105,7 +108,8 @@ pub fn models_for(
         };
         models.push(KernelModel {
             kind: SpanKind::Gram,
-            ..dot
+            flops_per_call: cost.dot_flops_per_row * rows,
+            bytes_per_call: cost.dot_bytes_per_row * rows,
         });
         models.push(dot);
     }
@@ -854,9 +858,10 @@ mod tests {
         assert_eq!(pc.bytes_per_call, 24000.0);
         let dot = models.iter().find(|m| m.kind == SpanKind::Dot).unwrap();
         assert!(dot.bytes_per_call > 0.0, "PCG's IR declares dot traffic");
-        // Gram gets the same body-average dot cost.
+        // A Gram span is a whole packet: all the dot nodes of a pass.
         let gram = models.iter().find(|m| m.kind == SpanKind::Gram).unwrap();
-        assert_eq!(gram.flops_per_call, dot.flops_per_call);
+        let dots = pscg_ir::costs::body_cost(&pscg_ir::method_ir(MethodKind::Pcg, 1)).dots;
+        assert_eq!(gram.flops_per_call, dot.flops_per_call * dots as f64);
     }
 
     #[test]

@@ -7,6 +7,13 @@
 //! reproduced verbatim from the paper; [`TimeExpr::evaluate`] turns the
 //! symbolic expression into seconds for a given machine and problem so the
 //! model can be compared against the discrete-event replay (experiment E9).
+//!
+//! The memory column is the paper's, not this implementation's: PIPE-PsCG
+//! here advances its power lists, direction blocks and A-power blocks in
+//! place, so its measured `vectors_allocated` (`2s² + 8s + 7` — even
+//! counting `x` and the set-up scratch — 49 at s = 3) is below the paper's
+//! `4s² + 12s + 5` (77); `tests/table1_validation.rs` asserts
+//! `measured ≤ Table I` and the ordering of the rows.
 
 use pscg_sim::{Machine, MatrixProfile};
 

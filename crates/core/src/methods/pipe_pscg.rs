@@ -27,7 +27,7 @@ use pscg_sparse::MultiVector;
 
 use crate::methods::{global_ref_norm, init_residual};
 use crate::solver::{SolveOptions, SolveResult, StopReason};
-use crate::sstep::{estimate_sigma, GramPacket, ScalarWork};
+use crate::sstep::{estimate_sigma, GramPacket, GramPacketBuf, ScalarWork};
 
 /// Stagnation rule: stop with [`StopReason::Stagnated`] when the relative
 /// residual improved by less than `min_ratio` over the last `window`
@@ -96,11 +96,10 @@ pub fn solve_with<C: Context>(
     let mut resil = crate::resilience::ResilienceState::new(opts, bnorm);
     let (mut x, r) = init_residual(ctx, b, x0);
 
-    // Dual power lists, j = 0..=2s, double-buffered.
+    // Dual power lists, j = 0..=2s; the recurrence phase advances them
+    // in place.
     let mut rpow = ctx.alloc_multi(2 * s + 1);
     let mut upow = ctx.alloc_multi(2 * s + 1);
-    let mut rpow_next = ctx.alloc_multi(2 * s + 1);
-    let mut upow_next = ctx.alloc_multi(2 * s + 1);
 
     // Lines 7–10: r₀, u₀ and the first s powers of both lists, built with
     // the σ-scaled operator (σ from the first chain link; see sstep docs).
@@ -113,23 +112,18 @@ pub fn solve_with<C: Context>(
     extend_powers(ctx, &mut rpow, &mut upow, 1, s, sigma);
 
     // Line 11–12: local dot products and the non-blocking allreduce.
-    let udirs0 = ctx.alloc_multi(s);
-    let pkt = GramPacket::assemble(ctx, s, &upow, &rpow, &udirs0);
-    let mut posted = pkt.pack();
-    let mut handle = ctx.iallreduce(&posted);
+    let mut udirs = ctx.alloc_multi(s);
+    let mut packet = GramPacketBuf::new(s);
+    ctx.local_gram_packet(&upow, &rpow, &udirs, &mut packet);
+    let mut handle = ctx.iallreduce(packet.flat());
     // Line 13: deep powers overlapped with it — s PCs + s SPMVs.
     extend_powers(ctx, &mut rpow, &mut upow, s, 2 * s, sigma);
 
     // Direction blocks (paper's P/Q and P2/Q2) and the A-power families
     // (AQm[j] = (M⁻¹A)^{j+1}·udirs, AQ2m[j] = (AM⁻¹)^{j+1}·rdirs).
-    let mut udirs = udirs0;
     let mut rdirs = ctx.alloc_multi(s);
-    let mut udirs_next = ctx.alloc_multi(s);
-    let mut rdirs_next = ctx.alloc_multi(s);
     let mut uapow: Vec<MultiVector> = (0..=s).map(|_| ctx.alloc_multi(s)).collect();
     let mut rapow: Vec<MultiVector> = (0..=s).map(|_| ctx.alloc_multi(s)).collect();
-    let mut uapow_next: Vec<MultiVector> = (0..=s).map(|_| ctx.alloc_multi(s)).collect();
-    let mut rapow_next: Vec<MultiVector> = (0..=s).map(|_| ctx.alloc_multi(s)).collect();
 
     let mut ax = ctx.alloc_vec();
     let mut scalar = ScalarWork::new(s);
@@ -147,7 +141,7 @@ pub fn solve_with<C: Context>(
         let red = match crate::resilience::wait_reduction(
             ctx,
             handle,
-            &posted,
+            packet.flat(),
             opts.resilience.reduce_retries,
         ) {
             Ok(v) => v,
@@ -160,19 +154,18 @@ pub fn solve_with<C: Context>(
                 break;
             }
         };
-        let pkt = GramPacket::unpack(s, &red);
+        let pkt = GramPacket::view(s, &red);
+        let norms = pkt.norms();
 
-        let relres = crate::methods::relres_from_sq(
-            opts.norm.pick_sq(pkt.norms[0], pkt.norms[1], pkt.norms[2]),
-            bnorm,
-        );
+        let relres =
+            crate::methods::relres_from_sq(opts.norm.pick_sq(norms[0], norms[1], norms[2]), bnorm);
         history.push(relres);
         ctx.note_residual(relres);
         crate::telemetry::note_iter(
             ctx,
             iters,
             relres,
-            pkt.norms,
+            norms,
             &scalar.alpha,
             scalar.b.data(),
             f64::NAN,
@@ -185,7 +178,7 @@ pub fn solve_with<C: Context>(
             stop = StopReason::MaxIterations;
             break;
         }
-        if !relres.is_finite() || relres > 1e8 || pkt.norms[2] < 0.0 {
+        if !relres.is_finite() || relres > 1e8 || norms[2] < 0.0 {
             // The recurrences have left the basin of useful arithmetic
             // (non-finite/diverged residual, or a negative (r, u) scalar on
             // an SPD system); report breakdown instead of iterating on.
@@ -218,11 +211,12 @@ pub fn solve_with<C: Context>(
             break;
         }
 
-        // Lines 17–33 as one fused pass over the rows: conjugate both
-        // direction blocks and all A-power blocks with the same β-matrix
-        // (fresh windows come from the *old* power lists), advance
-        // x += Q (σα), and form the fresh bases by recurrence only —
-        // rpow[j] ← rpow[j] − AQ2m[j]·α, upow[j] ← upow[j] − AQm[j]·α.
+        // Lines 17–35 as one fused in-place pass over the rows: conjugate
+        // both direction blocks and all A-power blocks with the same
+        // β-matrix (fresh windows come from the *old* power lists), form
+        // the fresh bases by recurrence only —
+        // rpow[j] ← rpow[j] − AQ2m[j]·α, upow[j] ← upow[j] − AQm[j]·α —
+        // and their dot products; then advance x += Q (σα).
         // The u-type directions live in the σ-scaled basis; the AQm/AQ2m
         // blocks carry the σ factor, so the basis recurrences consume the
         // raw α.
@@ -234,20 +228,14 @@ pub fn solve_with<C: Context>(
             RecurrenceStep {
                 families: &mut [
                     RecurrenceFamily {
-                        pow: &upow,
-                        pow_next: &mut upow_next,
-                        dirs: &udirs,
-                        dirs_next: &mut udirs_next,
-                        apow: &uapow,
-                        apow_next: &mut uapow_next,
+                        pow: &mut upow,
+                        dirs: &mut udirs,
+                        apow: &mut uapow,
                     },
                     RecurrenceFamily {
-                        pow: &rpow,
-                        pow_next: &mut rpow_next,
-                        dirs: &rdirs,
-                        dirs_next: &mut rdirs_next,
-                        apow: &rapow,
-                        apow_next: &mut rapow_next,
+                        pow: &mut rpow,
+                        dirs: &mut rdirs,
+                        apow: &mut rapow,
                     },
                 ],
                 b: &scalar.b,
@@ -255,35 +243,28 @@ pub fn solve_with<C: Context>(
                 alpha_x: &scalar.alpha_x,
                 shift: !replace,
                 extra_vma_flops_per_row: cfg.extra_flops_per_row,
+                packet: &mut packet,
             },
             &mut x,
         );
-        std::mem::swap(&mut udirs, &mut udirs_next);
-        std::mem::swap(&mut rdirs, &mut rdirs_next);
-        std::mem::swap(&mut uapow, &mut uapow_next);
-        std::mem::swap(&mut rapow, &mut rapow_next);
 
         if replace {
-            // Non-recurrence computation: recompute the residual and the
-            // leading basis columns explicitly (extra, *unoverlapped* PCs
-            // and SPMVs — the price PIPECG-OATI pays for repaying the
-            // rounding drift of the recurrences).
+            // Non-recurrence computation: recompute the residual, the
+            // leading basis columns and their dot products explicitly
+            // (extra, *unoverlapped* PCs and SPMVs — the price PIPECG-OATI
+            // pays for repaying the rounding drift of the recurrences).
             ctx.spmv(&x, &mut ax);
-            ctx.waxpy(rpow_next.col_mut(0), -1.0, &ax, b);
-            extend_powers(ctx, &mut rpow_next, &mut upow_next, 0, s, sigma);
+            ctx.waxpy(rpow.col_mut(0), -1.0, &ax, b);
+            extend_powers(ctx, &mut rpow, &mut upow, 0, s, sigma);
+            ctx.local_gram_packet(&upow, &rpow, &udirs, &mut packet);
         }
 
-        // Lines 34–35: dot products of the new bases, posted non-blocking.
-        let pkt = GramPacket::assemble(ctx, s, &upow_next, &rpow_next, &udirs);
-        posted = pkt.pack();
-        handle = ctx.iallreduce(&posted);
+        // Line 35: the dot products of the new bases, posted non-blocking.
+        handle = ctx.iallreduce(packet.flat());
 
         // Line 36: the deep powers — s PCs + s SPMVs — overlapped with the
         // allreduce.
-        extend_powers(ctx, &mut rpow_next, &mut upow_next, s, 2 * s, sigma);
-
-        std::mem::swap(&mut rpow, &mut rpow_next);
-        std::mem::swap(&mut upow, &mut upow_next);
+        extend_powers(ctx, &mut rpow, &mut upow, s, 2 * s, sigma);
         iters += s;
         outer += 1;
     }

@@ -16,7 +16,7 @@ use pscg_sparse::MultiVector;
 
 use crate::methods::{global_ref_norm, init_residual};
 use crate::solver::{SolveOptions, SolveResult, StopReason};
-use crate::sstep::{estimate_sigma, extend_scaled_powers, GramPacket, ScalarWork};
+use crate::sstep::{estimate_sigma, extend_scaled_powers, GramPacket, GramPacketBuf, ScalarWork};
 
 /// Solves `A x = b` with PIPE-sCG. `x0` defaults to zero.
 pub fn solve<C: Context>(
@@ -57,10 +57,8 @@ fn solve_inner<C: Context>(
     let mut resil = crate::resilience::ResilienceState::new(opts, bnorm);
     let (mut x, r) = init_residual(ctx, b, x0);
 
-    // pow[j] = A^j r, j = 0..=2s (double-buffered: recurrences read the old
-    // basis while writing the new one).
+    // pow[j] = A^j r, j = 0..=2s; the recurrence phase advances it in place.
     let mut pow = ctx.alloc_multi(2 * s + 1);
-    let mut pow_next = ctx.alloc_multi(2 * s + 1);
     pow.col_mut(0).copy_from_slice(&r);
     // Lines 6–7: the first s powers, built with the σ-scaled operator
     // (σ from the first link; see sstep docs)...
@@ -76,10 +74,10 @@ fn solve_inner<C: Context>(
         extend_scaled_powers(ctx, &mut pow, 1, s, sigma);
     }
     // Lines 8–9: ...the dot products and their non-blocking allreduce...
-    let dirs0 = ctx.alloc_multi(s);
-    let pkt = GramPacket::assemble(ctx, s, &pow, &pow, &dirs0);
-    let mut posted = pkt.pack();
-    let mut handle = ctx.iallreduce(&posted);
+    let mut dirs = ctx.alloc_multi(s);
+    let mut packet = GramPacketBuf::new(s);
+    ctx.local_gram_packet(&pow, &pow, &dirs, &mut packet);
+    let mut handle = ctx.iallreduce(packet.flat());
     // Line 10: ...overlapped with the deep powers A^{s+1}r … A^{2s}r.
     if use_mpk {
         ctx.mpk(&mut pow, s, 2 * s, sigma);
@@ -88,10 +86,7 @@ fn solve_inner<C: Context>(
     }
 
     // Direction block and its A-power family AQm[j] = A^{j+1}·dirs.
-    let mut dirs = dirs0;
-    let mut dirs_next = ctx.alloc_multi(s);
     let mut apow: Vec<MultiVector> = (0..=s).map(|_| ctx.alloc_multi(s)).collect();
-    let mut apow_next: Vec<MultiVector> = (0..=s).map(|_| ctx.alloc_multi(s)).collect();
 
     let mut scalar = ScalarWork::new(s);
     let mut history: Vec<f64> = Vec::new();
@@ -103,7 +98,7 @@ fn solve_inner<C: Context>(
         let red = match crate::resilience::wait_reduction(
             ctx,
             handle,
-            &posted,
+            packet.flat(),
             opts.resilience.reduce_retries,
         ) {
             Ok(v) => v,
@@ -116,19 +111,18 @@ fn solve_inner<C: Context>(
                 break;
             }
         };
-        let pkt = GramPacket::unpack(s, &red);
+        let pkt = GramPacket::view(s, &red);
+        let norms = pkt.norms();
 
-        let relres = crate::methods::relres_from_sq(
-            opts.norm.pick_sq(pkt.norms[0], pkt.norms[1], pkt.norms[2]),
-            bnorm,
-        );
+        let relres =
+            crate::methods::relres_from_sq(opts.norm.pick_sq(norms[0], norms[1], norms[2]), bnorm);
         history.push(relres);
         ctx.note_residual(relres);
         crate::telemetry::note_iter(
             ctx,
             iters,
             relres,
-            pkt.norms,
+            norms,
             &scalar.alpha,
             scalar.b.data(),
             f64::NAN,
@@ -141,7 +135,7 @@ fn solve_inner<C: Context>(
             stop = StopReason::MaxIterations;
             break;
         }
-        if !relres.is_finite() || relres > 1e8 || pkt.norms[2] < 0.0 {
+        if !relres.is_finite() || relres > 1e8 || norms[2] < 0.0 {
             // The recurrences have left the basin of useful arithmetic
             // (non-finite/diverged residual, or a negative (r, u) scalar on
             // an SPD system); report breakdown instead of iterating on.
@@ -164,12 +158,12 @@ fn solve_inner<C: Context>(
             break;
         }
 
-        // Lines 14–25 as one fused pass over the rows: conjugate the
-        // direction block and every AQm[j] against the previous family
+        // Lines 14–27 as one fused in-place pass over the rows: conjugate
+        // the direction block and every AQm[j] against the previous family
         // with the same β-matrix (AQm[j]'s fresh window is
-        // {A^{j+1}r, …, A^{j+s}r} = pow[j+1 .. j+s]), advance x += Q (σα),
-        // and form the new basis by recurrence only —
-        // A^j r_{i+1} = A^j r_i − AQm[j]·α for j = 0..=s. No SPMV. The
+        // {A^{j+1}r, …, A^{j+s}r} = pow[j+1 .. j+s]), form the new basis by
+        // recurrence only — A^j r_{i+1} = A^j r_i − AQm[j]·α for j = 0..=s —
+        // and its dot products; then advance x += Q (σα). No SPMV. The
         // directions live in the σ-scaled basis; the AQm blocks carry the
         // σ factor, so the basis recurrences consume the raw α.
         scalar.scale_alpha(sigma);
@@ -177,31 +171,23 @@ fn solve_inner<C: Context>(
             ctx,
             &scalar,
             RecurrenceFamily {
-                pow: &pow,
-                pow_next: &mut pow_next,
-                dirs: &dirs,
-                dirs_next: &mut dirs_next,
-                apow: &apow,
-                apow_next: &mut apow_next,
+                pow: &mut pow,
+                dirs: &mut dirs,
+                apow: &mut apow,
             },
+            &mut packet,
             &mut x,
         );
-        std::mem::swap(&mut dirs, &mut dirs_next);
-        std::mem::swap(&mut apow, &mut apow_next);
 
-        // Line 26–27: dot products of the new basis, posted non-blocking.
-        let pkt = GramPacket::assemble(ctx, s, &pow_next, &pow_next, &dirs);
-        posted = pkt.pack();
-        handle = ctx.iallreduce(&posted);
+        // Line 27: the dot products of the new basis, posted non-blocking.
+        handle = ctx.iallreduce(packet.flat());
 
         // Line 28: the s deep powers, overlapped with the allreduce.
         if use_mpk {
-            ctx.mpk(&mut pow_next, s, 2 * s, sigma);
+            ctx.mpk(&mut pow, s, 2 * s, sigma);
         } else {
-            extend_scaled_powers(ctx, &mut pow_next, s, 2 * s, sigma);
+            extend_scaled_powers(ctx, &mut pow, s, 2 * s, sigma);
         }
-
-        std::mem::swap(&mut pow, &mut pow_next);
         iters += s;
     }
 
@@ -221,6 +207,7 @@ fn recurrence_step<C: Context>(
     ctx: &mut C,
     scalar: &ScalarWork,
     family: RecurrenceFamily<'_>,
+    packet: &mut GramPacketBuf,
     x: &mut [f64],
 ) {
     ctx.block_recurrence_step(
@@ -231,6 +218,7 @@ fn recurrence_step<C: Context>(
             alpha_x: &scalar.alpha_x,
             shift: true,
             extra_vma_flops_per_row: 0.0,
+            packet,
         },
         x,
     );
@@ -287,7 +275,6 @@ pub mod broken {
         let (mut x, r) = init_residual(ctx, b, x0);
 
         let mut pow = ctx.alloc_multi(2 * s + 1);
-        let mut pow_next = ctx.alloc_multi(2 * s + 1);
         pow.col_mut(0).copy_from_slice(&r);
         {
             let (src, dst) = pow.col_pair_mut(0, 1);
@@ -297,18 +284,16 @@ pub mod broken {
         ctx.scale_v(sigma, pow.col_mut(1));
         extend_scaled_powers(ctx, &mut pow, 1, s, sigma);
 
-        let dirs0 = ctx.alloc_multi(s);
-        let pkt = GramPacket::assemble(ctx, s, &pow, &pow, &dirs0);
-        let mut pending = post(ctx, &pkt.pack(), mode);
+        let mut dirs = ctx.alloc_multi(s);
+        let mut packet = GramPacketBuf::new(s);
+        ctx.local_gram_packet(&pow, &pow, &dirs, &mut packet);
+        let mut pending = post(ctx, packet.flat(), mode);
         if mode == BrokenMode::WritesDotInput {
             ctx.scale_v(1.0, pow.col_mut(0));
         }
         extend_scaled_powers(ctx, &mut pow, s, 2 * s, sigma);
 
-        let mut dirs = dirs0;
-        let mut dirs_next = ctx.alloc_multi(s);
         let mut apow: Vec<MultiVector> = (0..=s).map(|_| ctx.alloc_multi(s)).collect();
-        let mut apow_next: Vec<MultiVector> = (0..=s).map(|_| ctx.alloc_multi(s)).collect();
 
         let mut scalar = ScalarWork::new(s);
         let mut history: Vec<f64> = Vec::new();
@@ -328,10 +313,11 @@ pub mod broken {
                     }
                 }
             };
-            let pkt = GramPacket::unpack(s, &red);
+            let pkt = GramPacket::view(s, &red);
+            let norms = pkt.norms();
 
             let relres = crate::methods::relres_from_sq(
-                opts.norm.pick_sq(pkt.norms[0], pkt.norms[1], pkt.norms[2]),
+                opts.norm.pick_sq(norms[0], norms[1], norms[2]),
                 bnorm,
             );
             history.push(relres);
@@ -358,26 +344,19 @@ pub mod broken {
                 ctx,
                 &scalar,
                 RecurrenceFamily {
-                    pow: &pow,
-                    pow_next: &mut pow_next,
-                    dirs: &dirs,
-                    dirs_next: &mut dirs_next,
-                    apow: &apow,
-                    apow_next: &mut apow_next,
+                    pow: &mut pow,
+                    dirs: &mut dirs,
+                    apow: &mut apow,
                 },
+                &mut packet,
                 &mut x,
             );
-            std::mem::swap(&mut dirs, &mut dirs_next);
-            std::mem::swap(&mut apow, &mut apow_next);
 
-            let pkt = GramPacket::assemble(ctx, s, &pow_next, &pow_next, &dirs);
-            pending = post(ctx, &pkt.pack(), mode);
+            pending = post(ctx, packet.flat(), mode);
             if mode == BrokenMode::WritesDotInput {
-                ctx.scale_v(1.0, pow_next.col_mut(0));
+                ctx.scale_v(1.0, pow.col_mut(0));
             }
-            extend_scaled_powers(ctx, &mut pow_next, s, 2 * s, sigma);
-
-            std::mem::swap(&mut pow, &mut pow_next);
+            extend_scaled_powers(ctx, &mut pow, s, 2 * s, sigma);
             iters += s;
         }
 

@@ -12,7 +12,7 @@ use pscg_sim::Context;
 
 use crate::methods::{global_ref_norm, init_residual};
 use crate::solver::{SolveOptions, SolveResult, StopReason};
-use crate::sstep::{conjugate_window, estimate_sigma, GramPacket, ScalarWork};
+use crate::sstep::{conjugate_window, estimate_sigma, GramPacket, GramPacketBuf, ScalarWork};
 
 /// Solves `M⁻¹A x = M⁻¹b` with PsCG. `x0` defaults to zero.
 pub fn solve<C: Context>(
@@ -44,15 +44,16 @@ pub fn solve<C: Context>(
     let mut udirs_next = ctx.alloc_multi(s);
     let mut ax = ctx.alloc_vec();
     let mut scalar = ScalarWork::new(s);
+    let mut packet = GramPacketBuf::new(s);
     let mut history: Vec<f64> = Vec::new();
     let mut iters = 0usize;
     let stop;
 
     loop {
         // Line 15 / 22: the 2s dot products in one blocking allreduce.
-        let pkt = GramPacket::assemble(ctx, s, &upow, &rpow, &udirs);
-        let red = ctx.allreduce(&pkt.pack());
-        let pkt = GramPacket::unpack(s, &red);
+        ctx.local_gram_packet(&upow, &rpow, &udirs, &mut packet);
+        let red = ctx.allreduce(packet.flat());
+        let pkt = GramPacket::view(s, &red);
         // A dead peer poisons the reduction: the check must precede the
         // relres computation, whose `.max(0.0)` would clamp a NaN norm
         // into a fake zero-residual convergence. The supervisor owns the
@@ -63,17 +64,16 @@ pub fn solve<C: Context>(
             break;
         }
 
-        let relres = crate::methods::relres_from_sq(
-            opts.norm.pick_sq(pkt.norms[0], pkt.norms[1], pkt.norms[2]),
-            bnorm,
-        );
+        let norms = pkt.norms();
+        let relres =
+            crate::methods::relres_from_sq(opts.norm.pick_sq(norms[0], norms[1], norms[2]), bnorm);
         history.push(relres);
         ctx.note_residual(relres);
         crate::telemetry::note_iter(
             ctx,
             iters,
             relres,
-            pkt.norms,
+            norms,
             &scalar.alpha,
             scalar.b.data(),
             f64::NAN,
@@ -86,7 +86,7 @@ pub fn solve<C: Context>(
             stop = StopReason::MaxIterations;
             break;
         }
-        if !relres.is_finite() || relres > 1e8 || pkt.norms[2] < 0.0 {
+        if !relres.is_finite() || relres > 1e8 || norms[2] < 0.0 {
             // The recurrences have left the basin of useful arithmetic
             // (non-finite/diverged residual, or a negative (r, u) scalar on
             // an SPD system); report breakdown instead of iterating on.

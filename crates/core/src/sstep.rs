@@ -26,99 +26,61 @@
 
 use pscg_sim::Context;
 use pscg_sparse::dense::DenseMatrix;
+use pscg_sparse::multivec::gram_packet_len;
+pub use pscg_sparse::multivec::GramPacketBuf;
 use pscg_sparse::MultiVector;
 
-/// The per-iteration reduction payload of the s-step methods.
-#[derive(Debug, Clone)]
-pub struct GramPacket {
-    /// `s`.
-    pub s: usize,
-    /// `RᵀA R`.
-    pub n: DenseMatrix,
-    /// `P_prevᵀ A R`.
-    pub c: DenseMatrix,
-    /// `Rᵀ r`.
-    pub g1: Vec<f64>,
-    /// `P_prevᵀ r`.
-    pub g2: Vec<f64>,
-    /// `(r·r, u·u, r·u)` — all three norms travel in every packet, which is
-    /// what lets PIPE-PsCG test any norm without extra kernels.
-    pub norms: [f64; 3],
+/// The per-iteration reduction payload of the s-step methods, as a view on
+/// its flat encoding: `N`, `C`, `g1`, `g2`, norms. The local packet lives
+/// in a solver-owned [`GramPacketBuf`], filled by
+/// [`Context::local_gram_packet`] from the u-type and r-type power lists
+/// (`rpow[j] = A·upow[j−1]` when preconditioned; the same block twice when
+/// `M = I`) and the previous direction block (zero on the first call), or
+/// by the fused recurrence pass; the reduced one is the vector the
+/// allreduce returns.
+#[derive(Debug, Clone, Copy)]
+pub struct GramPacket<'a> {
+    s: usize,
+    flat: &'a [f64],
 }
 
-impl GramPacket {
+impl<'a> GramPacket<'a> {
     /// Number of doubles in the flat encoding.
     pub fn len(s: usize) -> usize {
-        2 * s * s + 2 * s + 3
+        gram_packet_len(s)
     }
 
-    /// Flattens for the allreduce.
-    pub fn pack(&self) -> Vec<f64> {
-        let s = self.s;
-        let mut out = Vec::with_capacity(Self::len(s));
-        out.extend_from_slice(self.n.data());
-        out.extend_from_slice(self.c.data());
-        out.extend_from_slice(&self.g1);
-        out.extend_from_slice(&self.g2);
-        out.extend_from_slice(&self.norms);
-        out
-    }
-
-    /// Rebuilds from the reduced flat vector.
-    pub fn unpack(s: usize, flat: &[f64]) -> GramPacket {
+    /// Views a (reduced) flat packet for block size `s`.
+    pub fn view(s: usize, flat: &'a [f64]) -> Self {
         assert_eq!(flat.len(), Self::len(s), "gram packet length mismatch");
-        let mut n = DenseMatrix::zeros(s, s);
-        n.data_mut().copy_from_slice(&flat[0..s * s]);
-        let mut c = DenseMatrix::zeros(s, s);
-        c.data_mut().copy_from_slice(&flat[s * s..2 * s * s]);
-        let g1 = flat[2 * s * s..2 * s * s + s].to_vec();
-        let g2 = flat[2 * s * s + s..2 * s * s + 2 * s].to_vec();
-        let t = 2 * s * s + 2 * s;
-        GramPacket {
-            s,
-            n,
-            c,
-            g1,
-            g2,
-            norms: [flat[t], flat[t + 1], flat[t + 2]],
-        }
+        GramPacket { s, flat }
     }
 
-    /// Assembles the local packet from the fresh power lists and previous
-    /// directions. `upow`/`rpow` are the u-type and r-type power lists with
-    /// at least `s+1` valid leading columns (`rpow[j] = A·upow[j−1]` when
-    /// preconditioned; pass the same block twice when `M = I`). `udirs` is
-    /// the previous direction block (zero on the first call).
-    pub fn assemble<C: Context>(
-        ctx: &mut C,
-        s: usize,
-        upow: &MultiVector,
-        rpow: &MultiVector,
-        udirs: &MultiVector,
-    ) -> GramPacket {
-        // N_{jk} = (upow_j, A upow_k) = (upow_j, rpow_{k+1})
-        let n = ctx.local_gram_range(upow, 0..s, rpow, 1..s + 1);
-        // C_{mk} = (udirs_m, A upow_k) = (udirs_m, rpow_{k+1})
-        let c = ctx.local_gram_range(udirs, 0..s, rpow, 1..s + 1);
-        // g1_j = (upow_j, r), g2_m = (udirs_m, r) — first s columns only
-        // (the power lists carry extra columns beyond the basis).
-        let g1: Vec<f64> = (0..s)
-            .map(|j| ctx.local_dot(upow.col(j), rpow.col(0)))
-            .collect();
-        let g2: Vec<f64> = (0..s)
-            .map(|m| ctx.local_dot(udirs.col(m), rpow.col(0)))
-            .collect();
-        let rr = ctx.local_dot(rpow.col(0), rpow.col(0));
-        let uu = ctx.local_dot(upow.col(0), upow.col(0));
-        let ru = ctx.local_dot(rpow.col(0), upow.col(0));
-        GramPacket {
-            s,
-            n,
-            c,
-            g1,
-            g2,
-            norms: [rr, uu, ru],
-        }
+    /// `RᵀA R`, row-major `s × s`.
+    pub fn n(&self) -> &'a [f64] {
+        &self.flat[..self.s * self.s]
+    }
+
+    /// `P_prevᵀ A R`, row-major `s × s`.
+    pub fn c(&self) -> &'a [f64] {
+        &self.flat[self.s * self.s..2 * self.s * self.s]
+    }
+
+    /// `Rᵀ r`.
+    pub fn g1(&self) -> &'a [f64] {
+        &self.flat[2 * self.s * self.s..][..self.s]
+    }
+
+    /// `P_prevᵀ r`.
+    pub fn g2(&self) -> &'a [f64] {
+        &self.flat[2 * self.s * self.s + self.s..][..self.s]
+    }
+
+    /// `(r·r, u·u, r·u)` — all three norms travel in every packet, which is
+    /// what lets PIPE-PsCG test any norm without extra kernels.
+    pub fn norms(&self) -> [f64; 3] {
+        let t = 2 * self.s * self.s + 2 * self.s;
+        [self.flat[t], self.flat[t + 1], self.flat[t + 2]]
     }
 }
 
@@ -193,20 +155,34 @@ pub fn conjugate_window<C: Context>(
     ctx.block_combine(dst, src, off, prev, b);
 }
 
-/// Cross-iteration scalar state of an s-step method.
+/// Cross-iteration scalar state of an s-step method. Every matrix and
+/// vector the per-pass solves need is allocated once, here.
 #[derive(Debug, Clone)]
 pub struct ScalarWork {
     s: usize,
-    /// `W = PᵀA P` of the current directions (None before the first step).
-    w: Option<DenseMatrix>,
+    /// `W = PᵀA P` of the current directions (valid once `have_w`).
+    w: DenseMatrix,
+    have_w: bool,
     /// Conjugation matrix for the upcoming basis update.
     pub b: DenseMatrix,
     /// Step coefficients for the upcoming solution update.
     pub alpha: Vec<f64>,
     /// `σ·α`, the coefficients of `x += Q·(σα)` in the σ-scaled basis
-    /// (kept here so the update allocates nothing per pass; filled by
-    /// [`ScalarWork::scale_alpha`]).
+    /// (filled by [`ScalarWork::scale_alpha`]).
     pub alpha_x: Vec<f64>,
+    /// Candidates of a step in progress (committed only on success) and
+    /// `s × s` temporaries.
+    b_new: DenseMatrix,
+    w_new: DenseMatrix,
+    alpha_new: Vec<f64>,
+    n: DenseMatrix,
+    c: DenseMatrix,
+    t1: DenseMatrix,
+    t2: DenseMatrix,
+    t3: DenseMatrix,
+    g: Vec<f64>,
+    col: Vec<f64>,
+    eig: EquilibratedEig,
 }
 
 /// Scalar-work failure: the `s × s` system was singular or produced
@@ -218,12 +194,25 @@ pub struct Breakdown;
 impl ScalarWork {
     /// Fresh state for a given `s`.
     pub fn new(s: usize) -> Self {
+        let (mat, vec) = (DenseMatrix::zeros(s, s), vec![0.0; s]);
         ScalarWork {
             s,
-            w: None,
-            b: DenseMatrix::zeros(s, s),
-            alpha: vec![0.0; s],
-            alpha_x: vec![0.0; s],
+            w: mat.clone(),
+            have_w: false,
+            b: mat.clone(),
+            alpha: vec.clone(),
+            alpha_x: vec.clone(),
+            b_new: mat.clone(),
+            w_new: mat.clone(),
+            alpha_new: vec.clone(),
+            n: mat.clone(),
+            c: mat.clone(),
+            t1: mat.clone(),
+            t2: mat.clone(),
+            t3: mat,
+            g: vec.clone(),
+            col: vec,
+            eig: EquilibratedEig::new(s),
         }
     }
 
@@ -236,40 +225,68 @@ impl ScalarWork {
     }
 
     /// Consumes one (globally reduced) packet; on success `self.b` and
-    /// `self.alpha` hold the coefficients for the next basis update.
+    /// `self.alpha` hold the coefficients for the next basis update. On
+    /// breakdown the state is what it was. Allocates nothing.
     pub fn step<C: Context>(&mut self, ctx: &mut C, pkt: &GramPacket) -> Result<(), Breakdown> {
         assert_eq!(pkt.s, self.s);
         let s = self.s;
-        let (b, mut w) = match &self.w {
-            None => (DenseMatrix::zeros(s, s), pkt.n.clone()),
-            Some(w_prev) => {
-                // B = -W_prev^{-1} C
-                let mut b = solve_mat_regularized(w_prev, &pkt.c).ok_or(Breakdown)?;
-                b.scale(-1.0);
-                // W = N + Cᵀ B + Bᵀ C + Bᵀ W_prev B
-                let ctb = pkt.c.transpose().matmul(&b);
-                let btwb = b.transpose().matmul(&w_prev.matmul(&b));
-                let w = pkt.n.add_mat(&ctb).add_mat(&ctb.transpose()).add_mat(&btwb);
-                (b, w)
+        self.n.data_mut().copy_from_slice(pkt.n());
+        self.c.data_mut().copy_from_slice(pkt.c());
+        if self.have_w {
+            // B = -W_prev^{-1} C, one column of C at a time.
+            if !self.eig.factor(&self.w) {
+                return Err(Breakdown);
             }
-        };
-        w.symmetrize();
+            for j in 0..s {
+                for i in 0..s {
+                    self.col[i] = self.c.get(i, j);
+                }
+                if !self.eig.solve(&self.col, &mut self.g) {
+                    return Err(Breakdown);
+                }
+                for i in 0..s {
+                    self.b_new.set(i, j, self.g[i]);
+                }
+            }
+            self.b_new.scale(-1.0);
+            // W = N + Cᵀ B + Bᵀ C + Bᵀ W_prev B
+            self.w_new.copy_from(&self.n);
+            self.c.transpose_into(&mut self.t1);
+            self.t1.matmul_into(&self.b_new, &mut self.t2); // CᵀB
+            self.w_new.add_assign(&self.t2);
+            self.t2.transpose_into(&mut self.t1); // BᵀC
+            self.w_new.add_assign(&self.t1);
+            self.w.matmul_into(&self.b_new, &mut self.t1); // W_prev B
+            self.b_new.transpose_into(&mut self.t2);
+            self.t2.matmul_into(&self.t1, &mut self.t3); // Bᵀ W_prev B
+            self.w_new.add_assign(&self.t3);
+        } else {
+            self.b_new.data_mut().fill(0.0);
+            self.w_new.copy_from(&self.n);
+        }
+        self.w_new.symmetrize();
         // g = g1 + Bᵀ g2
-        let mut g = pkt.g1.clone();
-        let btg2 = b.transpose().matvec(&pkt.g2);
-        for (gi, v) in g.iter_mut().zip(&btg2) {
+        self.b_new.transpose_into(&mut self.t1);
+        self.t1.matvec_into(pkt.g2(), &mut self.col);
+        self.g.copy_from_slice(pkt.g1());
+        for (gi, v) in self.g.iter_mut().zip(&self.col) {
             *gi += v;
         }
-        let alpha = solve_regularized(&w, &g).ok_or(Breakdown)?;
-        if alpha.iter().any(|a| !a.is_finite()) || b.data().iter().any(|v| !v.is_finite()) {
+        if !self.eig.factor(&self.w_new) || !self.eig.solve(&self.g, &mut self.alpha_new) {
+            return Err(Breakdown);
+        }
+        if self.alpha_new.iter().any(|a| !a.is_finite())
+            || self.b_new.data().iter().any(|v| !v.is_finite())
+        {
             return Err(Breakdown);
         }
         // Two s×s LU solves plus the small matrix products.
         let sf = s as f64;
         ctx.charge_scalar(4.0 * sf * sf * sf + 8.0 * sf * sf);
-        self.b = b;
-        self.w = Some(w);
-        self.alpha = alpha;
+        std::mem::swap(&mut self.b, &mut self.b_new);
+        std::mem::swap(&mut self.w, &mut self.w_new);
+        std::mem::swap(&mut self.alpha, &mut self.alpha_new);
+        self.have_w = true;
         Ok(())
     }
 }
@@ -277,39 +294,9 @@ impl ScalarWork {
 /// Relative eigenvalue cutoff of the rank-revealing scalar solves.
 const PINV_RELATIVE_CUTOFF: f64 = 1e-13;
 
-/// Solves `W x = g` through a truncated eigendecomposition (`W` is an
-/// A-Gram matrix, symmetric positive semidefinite up to roundoff). When the
-/// Krylov basis is rank deficient — legitimately so for `dim K < s`, e.g.
-/// `M⁻¹A ≈ I` or the final block before convergence — the LU the paper
-/// prescribes would amplify null-space noise; the pseudo-inverse instead
-/// *drops* the directions the basis cannot resolve, so the block still
-/// takes the correct step in the well-determined ones. Returns `None` only
-/// when the spectrum is unusable (non-finite or non-positive).
-fn solve_regularized(w: &DenseMatrix, g: &[f64]) -> Option<Vec<f64>> {
-    let eig = EquilibratedEig::factor(w)?;
-    eig.solve(g)
-}
-
-/// Matrix right-hand-side variant of [`solve_regularized`]; factors `W`
-/// once and reuses the decomposition for every column.
-fn solve_mat_regularized(w: &DenseMatrix, c: &DenseMatrix) -> Option<DenseMatrix> {
-    let eig = EquilibratedEig::factor(w)?;
-    let s = w.nrows();
-    let mut out = DenseMatrix::zeros(s, c.ncols());
-    let mut col = vec![0.0; s];
-    for j in 0..c.ncols() {
-        for i in 0..s {
-            col[i] = c.get(i, j);
-        }
-        let x = eig.solve(&col)?;
-        for i in 0..s {
-            out.set(i, j, x[i]);
-        }
-    }
-    Some(out)
-}
-
-/// Equilibrated, rank-truncated eigendecomposition of an s-step Gram matrix.
+/// Equilibrated, rank-truncated eigendecomposition of an s-step Gram matrix
+/// (`W` is an A-Gram matrix, symmetric positive semidefinite up to
+/// roundoff), with the work space of its factorisation and solves.
 ///
 /// Symmetric Jacobi equilibration first: the σ-scaled monomial columns
 /// still decay/grow as (λ/ρ)^j, so W's diagonal spans many orders of
@@ -321,66 +308,84 @@ fn solve_mat_regularized(w: &DenseMatrix, c: &DenseMatrix) -> Option<DenseMatrix
 /// `M⁻¹A ≈ I` or the final block before convergence — the LU the paper
 /// prescribes would amplify null-space noise; the pseudo-inverse instead
 /// *drops* the directions the basis cannot resolve, so the block still takes
-/// the correct step in the well-determined ones. `factor` returns `None`
-/// only when the spectrum is unusable (non-finite or non-positive).
+/// the correct step in the well-determined ones. `factor` fails only when
+/// the spectrum is unusable (non-finite or non-positive), `solve` only on a
+/// non-finite solution.
+#[derive(Debug, Clone)]
 struct EquilibratedEig {
     d: Vec<f64>,
     lam: Vec<f64>,
     v: DenseMatrix,
     cutoff: f64,
+    wbar: DenseMatrix,
+    rot: DenseMatrix,
+    gbar: Vec<f64>,
+    xbar: Vec<f64>,
 }
 
 impl EquilibratedEig {
-    fn factor(w: &DenseMatrix) -> Option<EquilibratedEig> {
-        let s = w.nrows();
-        let d: Vec<f64> = (0..s)
-            .map(|i| {
-                let wii = w.get(i, i);
-                if wii > 0.0 && wii.is_finite() {
-                    wii.sqrt()
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        let mut wbar = w.clone();
-        for i in 0..s {
-            for j in 0..s {
-                wbar.set(i, j, w.get(i, j) / (d[i] * d[j]));
-            }
+    fn new(s: usize) -> EquilibratedEig {
+        let (mat, vec) = (DenseMatrix::zeros(s, s), vec![0.0; s]);
+        EquilibratedEig {
+            d: vec.clone(),
+            lam: vec.clone(),
+            v: mat.clone(),
+            cutoff: 0.0,
+            wbar: mat.clone(),
+            rot: mat,
+            gbar: vec.clone(),
+            xbar: vec,
         }
-        let (lam, v) = wbar.sym_eig();
-        let lmax = lam.iter().copied().fold(0.0f64, f64::max);
-        if lmax <= 0.0 || !lmax.is_finite() {
-            return None;
-        }
-        Some(EquilibratedEig {
-            d,
-            lam,
-            v,
-            cutoff: PINV_RELATIVE_CUTOFF * lmax,
-        })
     }
 
-    fn solve(&self, g: &[f64]) -> Option<Vec<f64>> {
+    /// Factors `w`; false when its spectrum is unusable.
+    fn factor(&mut self, w: &DenseMatrix) -> bool {
+        let s = w.nrows();
+        for (i, d) in self.d.iter_mut().enumerate() {
+            let wii = w.get(i, i);
+            *d = if wii > 0.0 && wii.is_finite() {
+                wii.sqrt()
+            } else {
+                1.0
+            };
+        }
+        for i in 0..s {
+            for j in 0..s {
+                self.wbar.set(i, j, w.get(i, j) / (self.d[i] * self.d[j]));
+            }
+        }
+        self.wbar
+            .sym_eig_into(&mut self.rot, &mut self.v, &mut self.lam);
+        let lmax = self.lam.iter().copied().fold(0.0f64, f64::max);
+        self.cutoff = PINV_RELATIVE_CUTOFF * lmax;
+        lmax > 0.0 && lmax.is_finite()
+    }
+
+    /// Solves `W x = g` with the last factorisation; false when `x` is not
+    /// finite.
+    fn solve(&mut self, g: &[f64], x: &mut [f64]) -> bool {
         let s = self.d.len();
-        let gbar: Vec<f64> = (0..s).map(|i| g[i] / self.d[i]).collect();
-        let mut xbar = vec![0.0; s];
+        for i in 0..s {
+            self.gbar[i] = g[i] / self.d[i];
+        }
+        self.xbar.fill(0.0);
         for (k, &l) in self.lam.iter().enumerate() {
             if l <= self.cutoff {
                 continue;
             }
             let mut proj = 0.0;
             for i in 0..s {
-                proj += self.v.get(i, k) * gbar[i];
+                proj += self.v.get(i, k) * self.gbar[i];
             }
             let coef = proj / l;
             for i in 0..s {
-                xbar[i] += coef * self.v.get(i, k);
+                self.xbar[i] += coef * self.v.get(i, k);
             }
         }
-        let x: Vec<f64> = (0..s).map(|i| xbar[i] / self.d[i]).collect();
-        x.iter().all(|v| v.is_finite()).then_some(x)
+        for i in 0..s {
+            x[i] = self.xbar[i] / self.d[i];
+        }
+        x.iter().all(|v| v.is_finite())
     }
 }
 
@@ -396,32 +401,15 @@ mod tests {
     }
 
     #[test]
-    fn packet_roundtrips_through_flat_encoding() {
+    fn packet_view_slices_the_flat_encoding() {
         let s = 3;
-        let mut n = DenseMatrix::zeros(s, s);
-        let mut c = DenseMatrix::zeros(s, s);
-        for i in 0..s {
-            for j in 0..s {
-                n.set(i, j, (i * s + j) as f64);
-                c.set(i, j, -((i + j) as f64));
-            }
-        }
-        let pkt = GramPacket {
-            s,
-            n,
-            c,
-            g1: vec![1.0, 2.0, 3.0],
-            g2: vec![-1.0, -2.0, -3.0],
-            norms: [9.0, 4.0, 6.0],
-        };
-        let flat = pkt.pack();
-        assert_eq!(flat.len(), GramPacket::len(s));
-        let back = GramPacket::unpack(s, &flat);
-        assert_eq!(back.n, pkt.n);
-        assert_eq!(back.c, pkt.c);
-        assert_eq!(back.g1, pkt.g1);
-        assert_eq!(back.g2, pkt.g2);
-        assert_eq!(back.norms, pkt.norms);
+        let flat: Vec<f64> = (0..GramPacket::len(s)).map(|i| i as f64).collect();
+        let pkt = GramPacket::view(s, &flat);
+        assert_eq!(pkt.n(), &flat[0..9]);
+        assert_eq!(pkt.c(), &flat[9..18]);
+        assert_eq!(pkt.g1(), &flat[18..21]);
+        assert_eq!(pkt.g2(), &flat[21..24]);
+        assert_eq!(pkt.norms(), [24.0, 25.0, 26.0]);
     }
 
     #[test]
@@ -437,9 +425,11 @@ mod tests {
         let upow = MultiVector::from_columns(&[&r]);
         let rpow = MultiVector::from_columns(&[&r, &ar]);
         let dirs = MultiVector::zeros(n, 1);
-        let pkt = GramPacket::assemble(&mut ctx, 1, &upow, &rpow, &dirs);
+        let mut packet = GramPacketBuf::new(1);
+        ctx.local_gram_packet(&upow, &rpow, &dirs, &mut packet);
         let mut sw = ScalarWork::new(1);
-        sw.step(&mut ctx, &pkt).unwrap();
+        sw.step(&mut ctx, &GramPacket::view(1, packet.flat()))
+            .unwrap();
         let rr = pscg_sparse::kernels::dot(&r, &r);
         let rar = pscg_sparse::kernels::dot(&r, &ar);
         assert!((sw.alpha[0] - rr / rar).abs() < 1e-14);
@@ -452,16 +442,15 @@ mod tests {
         let g = Grid3::cube(3);
         let a = poisson3d_7pt(g, None);
         let mut ctx = ctx_for(&a);
-        let pkt = GramPacket {
-            s: 2,
-            n: DenseMatrix::zeros(2, 2), // singular
-            c: DenseMatrix::zeros(2, 2),
-            g1: vec![1.0, 1.0],
-            g2: vec![0.0, 0.0],
-            norms: [1.0, 1.0, 1.0],
-        };
+        // N singular, C zero, g1 = (1, 1), g2 zero, unit norms.
+        let mut flat = vec![0.0; GramPacket::len(2)];
+        flat[8..10].fill(1.0);
+        flat[12..15].fill(1.0);
         let mut sw = ScalarWork::new(2);
-        assert_eq!(sw.step(&mut ctx, &pkt), Err(Breakdown));
+        assert_eq!(
+            sw.step(&mut ctx, &GramPacket::view(2, &flat)),
+            Err(Breakdown)
+        );
     }
 
     #[test]
@@ -476,10 +465,12 @@ mod tests {
         let upow = MultiVector::from_columns(&[&u]);
         let rpow = MultiVector::from_columns(&[&r, &ar]);
         let dirs = MultiVector::zeros(n, 1);
-        let pkt = GramPacket::assemble(&mut ctx, 1, &upow, &rpow, &dirs);
+        let mut packet = GramPacketBuf::new(1);
+        ctx.local_gram_packet(&upow, &rpow, &dirs, &mut packet);
+        let norms = GramPacket::view(1, packet.flat()).norms();
         let nf = n as f64;
-        assert!((pkt.norms[0] - 4.0 * nf).abs() < 1e-12); // r·r
-        assert!((pkt.norms[1] - 0.25 * nf).abs() < 1e-12); // u·u
-        assert!((pkt.norms[2] - 1.0 * nf).abs() < 1e-12); // r·u
+        assert!((norms[0] - 4.0 * nf).abs() < 1e-12); // r·r
+        assert!((norms[1] - 0.25 * nf).abs() < 1e-12); // u·u
+        assert!((norms[2] - 1.0 * nf).abs() < 1e-12); // r·u
     }
 }

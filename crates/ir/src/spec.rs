@@ -196,7 +196,7 @@ pub fn extend_dual_powers(rpow: &str, upow: &str, from: usize, to: usize) -> Vec
     out
 }
 
-/// `GramPacket::assemble(s, upow, rpow, udirs)`: the `2s² + 2s + 3`-value
+/// `Context::local_gram_packet(upow, rpow, udirs, ..)`: the `2s² + 2s + 3`-value
 /// packet as `2s + 5` local dot nodes — the two Gram-range dots (N and C),
 /// the `g1`/`g2` strips, and the three norms — all accumulating into
 /// `part`.

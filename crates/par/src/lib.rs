@@ -791,6 +791,31 @@ impl<'a, T> DisjointMut<'a, T> {
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(lo), hi - lo) }
     }
 
+    /// The sub-slice `[lo, hi)`, shared: for an in-place kernel whose job
+    /// reads rows of a buffer that the same dispatch also writes.
+    ///
+    /// # Safety
+    /// No live `&mut` sub-slice from [`DisjointMut::range`] may overlap
+    /// `[lo, hi)`: a job may read only rows no other concurrent job
+    /// writes, and must drop this view before it borrows them mutably.
+    ///
+    /// When [`sync_trace`] recording is enabled, every call logs a
+    /// `BufRead` of exactly this range, so the race detector checks the
+    /// contract row range by row range.
+    #[inline]
+    pub unsafe fn range_ref(&self, lo: usize, hi: usize) -> &[T] {
+        debug_assert!(lo <= hi && hi <= self.len);
+        sync_trace::record(sync_trace::SyncEvent::BufRead {
+            buf: self.ptr as u64,
+            lo,
+            hi,
+        });
+        // SAFETY: `lo <= hi <= len` bounds the range inside the wrapped
+        // slice; the caller contract above excludes a live `&mut` view of
+        // any of it.
+        unsafe { std::slice::from_raw_parts(self.ptr.add(lo), hi - lo) }
+    }
+
     /// Storage address of the wrapped slice — the same buffer identity
     /// [`sync_trace`] events and `BufId` interning use. Scatter kernels
     /// pair this with [`sync_trace::record`] to log their per-element

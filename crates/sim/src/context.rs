@@ -24,7 +24,7 @@ use pscg_obs as obs;
 use pscg_obs::SpanKind;
 use pscg_sparse::dense::DenseMatrix;
 use pscg_sparse::kernels;
-use pscg_sparse::multivec::{fused_recurrence_step, RecurrenceFamily};
+use pscg_sparse::multivec::{fused_recurrence_step, gram_packet, GramPacketBuf, RecurrenceFamily};
 use pscg_sparse::op::Operator;
 use pscg_sparse::{CsrMatrix, MultiVector};
 
@@ -103,8 +103,8 @@ pub enum BuddyRecovery {
 /// [`Context::block_recurrence_step`] runs it.
 pub struct RecurrenceStep<'a, 'f> {
     /// The power families (one for PIPE-sCG, the u-type then the r-type
-    /// list for PIPE-PsCG). The solution update uses the first family's
-    /// new direction block.
+    /// list for PIPE-PsCG), updated in place. The solution update uses the
+    /// first family's new direction block.
     pub families: &'a mut [RecurrenceFamily<'f>],
     /// Conjugation matrix `B` of the scalar work.
     pub b: &'a DenseMatrix,
@@ -118,6 +118,9 @@ pub struct RecurrenceStep<'a, 'f> {
     /// Extra VMA flops per row charged after the solution update (a
     /// method whose Table I count exceeds what the shared core does).
     pub extra_vma_flops_per_row: f64,
+    /// Receives the local Gram packet of the shifted bases (untouched when
+    /// `shift` is false).
+    pub packet: &'a mut GramPacketBuf,
 }
 
 /// The SPMD execution context (see module docs).
@@ -387,26 +390,30 @@ pub trait Context {
         charge_combine(self, dst, src, off, prev);
     }
 
-    /// Fused basis shift `dst = src − X·a` — the power-list copy and the
-    /// `gemv_sub` in one pass (see [`Context::block_combine`] for the
-    /// trace-equivalence contract).
+    /// Basis shift into a fresh column, `dst = src − X·a`, charged as the
+    /// copy and the GEMV it is. The solvers shift in place through
+    /// [`Context::block_recurrence_step`]; this stays for engines that
+    /// forward every method by name.
     fn block_gemv_sub_into(&mut self, x: &MultiVector, a: &[f64], src: &[f64], dst: &mut [f64]) {
         let _sp = obs::span(SpanKind::Combine);
-        x.gemv_sub_into(a, src, dst);
-        charge_gemv_sub_into(self, x, src, dst);
+        dst.copy_from_slice(src);
+        x.gemv_sub(a, dst);
+        charge_shift(self, x, src, dst);
     }
 
     /// The whole recurrence phase of one pipelined s-step iteration: every
-    /// conjugation window and every basis shift of `step.families` in one
-    /// fused pass over the rows ([`fused_recurrence_step`]), and the
-    /// solution update `x += Q·(σα)` with the new directions.
+    /// conjugation window and every basis shift of `step.families`, in
+    /// place, and the local Gram packet of the new bases, in one fused pass
+    /// over the rows ([`fused_recurrence_step`]); then the solution update
+    /// `x += Q·(σα)` with the new directions.
     ///
     /// Trace-wise this is the sequence it replaces, op for op: the
     /// [`Context::block_combine`] charges of the direction blocks, then of
     /// the A-power blocks window by window; the solution update as its own
-    /// [`Context::block_gemv_acc`] call; the optional extra VMA charge; and
-    /// the [`Context::block_gemv_sub_into`] charges window by window, last
-    /// family first. Engines do not override it.
+    /// [`Context::block_gemv_acc`] call; the optional extra VMA charge; the
+    /// copy-and-GEMV charges of the shifts window by window, last family
+    /// first; and the charges of [`Context::local_gram_packet`]. Engines do
+    /// not override it.
     fn block_recurrence_step(&mut self, step: RecurrenceStep<'_, '_>, x: &mut [f64]) {
         let RecurrenceStep {
             families,
@@ -415,32 +422,56 @@ pub trait Context {
             alpha_x,
             shift,
             extra_vma_flops_per_row: extra,
+            packet,
         } = step;
         {
             let _sp = obs::span(SpanKind::Combine);
-            fused_recurrence_step(families, b, alpha, shift);
+            fused_recurrence_step(families, b, alpha, shift, packet);
         }
         let families = &*families;
         for f in families {
-            charge_combine(self, f.dirs_next, f.pow, 0, f.dirs);
+            charge_combine(self, f.dirs, f.pow, 0, f.dirs);
         }
         let nw = families[0].apow.len();
         for w in 0..nw {
             for f in families {
-                charge_combine(self, &f.apow_next[w], f.pow, w + 1, &f.apow[w]);
+                charge_combine(self, &f.apow[w], f.pow, w + 1, &f.apow[w]);
             }
         }
-        self.block_gemv_acc(families[0].dirs_next, alpha_x, x);
+        self.block_gemv_acc(families[0].dirs, alpha_x, x);
         if extra > 0.0 {
             self.charge_local(LocalKind::Vma, extra, 8.0 * extra);
         }
         if shift {
             for w in 0..nw {
                 for f in families.iter().rev() {
-                    charge_gemv_sub_into(self, &f.apow_next[w], f.pow.col(w), f.pow_next.col(w));
+                    charge_shift(self, &f.apow[w], f.pow.col(w), f.pow.col(w));
                 }
             }
+            let (u, r) = (&families[0], &families[families.len() - 1]);
+            charge_gram_packet(self, packet.s(), u.pow, r.pow, u.dirs);
         }
+    }
+
+    /// The local Gram packet of an s-step iteration (`N`, `C`, `g1`, `g2`
+    /// and the three norms of [`GramPacketBuf`]) from the bases `upow` /
+    /// `rpow` and the direction block `udirs`, in one pass that reads each
+    /// column once ([`gram_packet`]); combine with an allreduce.
+    ///
+    /// Charged as the `2s + 5` products it holds: the two Gram ranges, then
+    /// one dot per `g1`, `g2` and norm entry.
+    fn local_gram_packet(
+        &mut self,
+        upow: &MultiVector,
+        rpow: &MultiVector,
+        udirs: &MultiVector,
+        packet: &mut GramPacketBuf,
+    ) {
+        {
+            let _sp = obs::span(SpanKind::Gram);
+            gram_packet(upow, rpow, udirs, packet);
+        }
+        charge_gram_packet(self, packet.s(), upow, rpow, udirs);
     }
 
     /// Local Gram product `XᵀY`; combine entries with an allreduce.
@@ -521,17 +552,42 @@ fn charge_combine<C: Context + ?Sized>(
 
 /// The cost declarations of one basis shift `dst = src − X·a`: the copy,
 /// then the GEMV.
-fn charge_gemv_sub_into<C: Context + ?Sized>(
-    ctx: &mut C,
-    x: &MultiVector,
-    src: &[f64],
-    dst: &[f64],
-) {
+fn charge_shift<C: Context + ?Sized>(ctx: &mut C, x: &MultiVector, src: &[f64], dst: &[f64]) {
     let (bs, bd) = (ctx.buf_of(src), ctx.buf_of(dst));
     ctx.charge_local_rw(LocalKind::Vma, 0.0, 16.0, [bs, BufId::ANON], bd);
     let k = x.ncols() as f64;
     let (bx, by) = (ctx.buf_of_multi(x), ctx.buf_of(dst));
     ctx.charge_local_rw(LocalKind::Vma, 2.0 * k, 8.0 * (k + 2.0), [bx, by], by);
+}
+
+/// The cost declarations of one Gram packet: `N` and `C` as Gram ranges
+/// against `rpow[1..=s]`, then a dot per `g1` / `g2` entry and norm.
+fn charge_gram_packet<C: Context + ?Sized>(
+    ctx: &mut C,
+    s: usize,
+    upow: &MultiVector,
+    rpow: &MultiVector,
+    udirs: &MultiVector,
+) {
+    let sf = s as f64;
+    for left in [upow, udirs] {
+        let (bx, by) = (ctx.buf_of_multi(left), ctx.buf_of_multi(rpow));
+        ctx.charge_local_rw(
+            LocalKind::Dot,
+            2.0 * sf * sf,
+            16.0 * sf,
+            [bx, by],
+            BufId::ANON,
+        );
+    }
+    let (r, u) = (rpow.col(0), upow.col(0));
+    let lefts = [upow, udirs]
+        .into_iter()
+        .flat_map(|m| (0..s).map(move |j| m.col(j)));
+    for (x, y) in lefts.map(|x| (x, r)).chain([(r, r), (u, u), (r, u)]) {
+        let (bx, by) = (ctx.buf_of(x), ctx.buf_of(y));
+        ctx.charge_local_rw(LocalKind::Dot, 2.0, 16.0, [bx, by], BufId::ANON);
+    }
 }
 
 /// Numerical-invariant probe state (see [`SimCtx::enable_probes`]).

@@ -97,8 +97,21 @@ impl DenseMatrix {
 
     /// Matrix product `self · other`.
     pub fn matmul(&self, other: &DenseMatrix) -> DenseMatrix {
-        assert_eq!(self.ncols, other.nrows, "matmul: inner dimension mismatch");
         let mut out = DenseMatrix::zeros(self.nrows, other.ncols);
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`DenseMatrix::matmul`] into an existing `nrows × other.ncols`
+    /// matrix.
+    pub fn matmul_into(&self, other: &DenseMatrix, out: &mut DenseMatrix) {
+        assert_eq!(self.ncols, other.nrows, "matmul: inner dimension mismatch");
+        assert_eq!(
+            (out.nrows, out.ncols),
+            (self.nrows, other.ncols),
+            "matmul: output shape"
+        );
+        out.data.fill(0.0);
         for i in 0..self.nrows {
             for k in 0..self.ncols {
                 let a = self.get(i, k);
@@ -111,40 +124,70 @@ impl DenseMatrix {
                 }
             }
         }
-        out
     }
 
     /// Matrix–vector product `self · v`.
     pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.nrows];
+        self.matvec_into(v, &mut out);
+        out
+    }
+
+    /// [`DenseMatrix::matvec`] into an existing vector of `nrows` entries.
+    pub fn matvec_into(&self, v: &[f64], out: &mut [f64]) {
         assert_eq!(v.len(), self.ncols, "matvec: dimension mismatch");
-        (0..self.nrows)
-            .map(|i| {
-                let row = &self.data[i * self.ncols..(i + 1) * self.ncols];
-                crate::kernels::dot(row, v)
-            })
-            .collect()
+        assert_eq!(out.len(), self.nrows, "matvec: output length");
+        for (i, o) in out.iter_mut().enumerate() {
+            let row = &self.data[i * self.ncols..(i + 1) * self.ncols];
+            *o = crate::kernels::dot(row, v);
+        }
     }
 
     /// Transpose.
     pub fn transpose(&self) -> DenseMatrix {
         let mut out = DenseMatrix::zeros(self.ncols, self.nrows);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`DenseMatrix::transpose`] into an existing `ncols × nrows` matrix.
+    pub fn transpose_into(&self, out: &mut DenseMatrix) {
+        assert_eq!(
+            (out.nrows, out.ncols),
+            (self.ncols, self.nrows),
+            "transpose: output shape"
+        );
         for i in 0..self.nrows {
             for j in 0..self.ncols {
                 out.set(j, i, self.get(i, j));
             }
         }
-        out
     }
 
     /// `self + other`.
     pub fn add_mat(&self, other: &DenseMatrix) -> DenseMatrix {
+        let mut out = self.clone();
+        out.add_assign(other);
+        out
+    }
+
+    /// `self += other`.
+    pub fn add_assign(&mut self, other: &DenseMatrix) {
         assert_eq!(self.nrows, other.nrows);
         assert_eq!(self.ncols, other.ncols);
-        let mut out = self.clone();
-        for (a, b) in out.data.iter_mut().zip(&other.data) {
+        for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
         }
-        out
+    }
+
+    /// Overwrites `self` with `other` (same shape).
+    pub fn copy_from(&mut self, other: &DenseMatrix) {
+        assert_eq!(
+            (self.nrows, self.ncols),
+            (other.nrows, other.ncols),
+            "copy_from: shape mismatch"
+        );
+        self.data.copy_from_slice(&other.data);
     }
 
     /// In-place scale by `s`.
@@ -244,10 +287,24 @@ impl DenseMatrix {
     /// matrices of the s-step scalar work, where it enables rank-revealing
     /// pseudo-inverse solves when the Krylov basis is deficient.
     pub fn sym_eig(&self) -> (Vec<f64>, DenseMatrix) {
+        let n = self.nrows;
+        let (mut a, mut v, mut lam) = (self.clone(), DenseMatrix::zeros(n, n), vec![0.0; n]);
+        self.sym_eig_into(&mut a, &mut v, &mut lam);
+        (lam, v)
+    }
+
+    /// [`DenseMatrix::sym_eig`] without allocating: `a` is `n × n` work
+    /// space, `v` receives the eigenvectors and `lam` the eigenvalues.
+    pub fn sym_eig_into(&self, a: &mut DenseMatrix, v: &mut DenseMatrix, lam: &mut [f64]) {
         assert_eq!(self.nrows, self.ncols, "sym_eig needs a square matrix");
         let n = self.nrows;
-        let mut a = self.clone();
-        let mut v = DenseMatrix::identity(n);
+        assert_eq!(lam.len(), n, "sym_eig: eigenvalue length");
+        a.copy_from(self);
+        assert_eq!((v.nrows, v.ncols), (n, n), "sym_eig: eigenvector shape");
+        v.data.fill(0.0);
+        for i in 0..n {
+            v.set(i, i, 1.0);
+        }
         for _sweep in 0..64 {
             let mut off = 0.0;
             for p in 0..n {
@@ -290,8 +347,9 @@ impl DenseMatrix {
                 }
             }
         }
-        let lam: Vec<f64> = (0..n).map(|i| a.get(i, i)).collect();
-        (lam, v)
+        for (i, l) in lam.iter_mut().enumerate() {
+            *l = a.get(i, i);
+        }
     }
 }
 

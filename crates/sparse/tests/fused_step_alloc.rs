@@ -1,14 +1,18 @@
-//! The fused recurrence pass must not touch the heap: a per-call `Vec` of
-//! column views would cost more than the arithmetic at strong-scaled
-//! rank-local sizes. This binary holds exactly one test, so the counting
-//! allocator sees the kernel's allocations and nobody else's.
+//! The fused recurrence pass and the stand-alone Gram packet kernel must
+//! not touch the heap once their packet buffer has seen the vector length:
+//! a per-call `Vec` of column views or partial sums would cost more than
+//! the arithmetic at strong-scaled rank-local sizes. This binary holds
+//! exactly one test, so the counting allocator sees the kernels'
+//! allocations and nobody else's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use pscg_par::Pool;
 use pscg_sparse::dense::DenseMatrix;
-use pscg_sparse::multivec::{fused_recurrence_step_with, RecurrenceFamily};
+use pscg_sparse::multivec::{
+    fused_recurrence_step_with, gram_packet_with, GramPacketBuf, RecurrenceFamily,
+};
 use pscg_sparse::MultiVector;
 
 struct Counting;
@@ -33,7 +37,7 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 #[test]
-fn fused_recurrence_step_does_not_allocate() {
+fn fused_recurrence_step_and_gram_packet_do_not_allocate() {
     // Both families at s = 3 over three and a bit row chunks, so the
     // two-thread pool really dispatches.
     let (n, s) = (3 * 4096 + 5, 3);
@@ -45,12 +49,10 @@ fn fused_recurrence_step_does_not_allocate() {
         m
     };
     let blocks = |seed: usize| (0..=s).map(|w| block(s, seed + w)).collect::<Vec<_>>();
-    let (upow, mut upow_next) = (block(2 * s + 1, 1), block(2 * s + 1, 2));
-    let (rpow, mut rpow_next) = (block(2 * s + 1, 3), block(2 * s + 1, 4));
-    let (udirs, mut udirs_next) = (block(s, 5), block(s, 6));
-    let (rdirs, mut rdirs_next) = (block(s, 7), block(s, 8));
-    let (uapow, mut uapow_next) = (blocks(10), blocks(20));
-    let (rapow, mut rapow_next) = (blocks(30), blocks(40));
+    let (mut upow, mut rpow) = (block(2 * s + 1, 1), block(2 * s + 1, 3));
+    let (mut udirs, mut rdirs) = (block(s, 5), block(s, 7));
+    let (mut uapow, mut rapow) = (blocks(10), blocks(30));
+    let mut packet = GramPacketBuf::new(s);
     let mut b = DenseMatrix::zeros(s, s);
     for i in 0..s {
         for j in 0..s {
@@ -66,28 +68,24 @@ fn fused_recurrence_step_does_not_allocate() {
                 &pool,
                 &mut [
                     RecurrenceFamily {
-                        pow: &upow,
-                        pow_next: &mut upow_next,
-                        dirs: &udirs,
-                        dirs_next: &mut udirs_next,
-                        apow: &uapow,
-                        apow_next: &mut uapow_next,
+                        pow: &mut upow,
+                        dirs: &mut udirs,
+                        apow: &mut uapow,
                     },
                     RecurrenceFamily {
-                        pow: &rpow,
-                        pow_next: &mut rpow_next,
-                        dirs: &rdirs,
-                        dirs_next: &mut rdirs_next,
-                        apow: &rapow,
-                        apow_next: &mut rapow_next,
+                        pow: &mut rpow,
+                        dirs: &mut rdirs,
+                        apow: &mut rapow,
                     },
                 ],
                 &b,
                 &alpha,
                 true,
-            )
+                &mut packet,
+            );
+            gram_packet_with(&pool, &upow, &rpow, &udirs, &mut packet);
         };
-        step(); // first use of the pool
+        step(); // first use of the pool and of the packet's scratch
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         for _ in 0..3 {
             step();

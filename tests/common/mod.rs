@@ -1,10 +1,12 @@
-//! Test-only oracle for the fused recurrence pass: a [`Context`] wrapper
-//! whose [`Context::block_recurrence_step`] is the sequence the fused pass
-//! replaced — one `block_combine` per conjugation window, the solution
-//! update, one `block_gemv_sub_into` per basis column — in the order the
-//! solvers used to issue them. Everything else is forwarded to the wrapped
-//! engine, so a solve through [`Unfused`] differs from a plain solve only
-//! in how that phase is computed and charged.
+//! Test-only oracle for the fused in-place recurrence pass: a [`Context`]
+//! wrapper whose [`Context::block_recurrence_step`] is the sequence of
+//! sweeps the fused pass replaced, run out of place — every conjugation
+//! window with `combine_window` reading a copy of the old blocks, the
+//! solution update, one `gemv_sub` per basis column — followed by the
+//! stand-alone Gram packet kernel, and charged with the op sequence the
+//! solvers used to issue call by call. Everything else is forwarded to the
+//! wrapped engine, so a solve through [`Unfused`] differs from a plain
+//! solve only in how that phase is computed.
 
 use pscg_sim::{
     BuddyRecovery, BufId, Context, LocalKind, OpCounters, RankFailure, RecurrenceStep,
@@ -15,6 +17,30 @@ use pscg_sparse::MultiVector;
 /// Wraps an engine; see the module docs.
 pub struct Unfused<C>(pub C);
 
+impl<C: Context> Unfused<C> {
+    /// The charges of one `block_combine`: a copy per column, then the LC.
+    fn charge_combine(&mut self, dst: &MultiVector, src: &MultiVector, off: usize) {
+        let s = dst.ncols();
+        for j in 0..s {
+            let (bs, bd) = (self.buf_of(src.col(off + j)), self.buf_of(dst.col(j)));
+            self.charge_local_rw(LocalKind::Vma, 0.0, 16.0, [bs, BufId::ANON], bd);
+        }
+        let sf = s as f64;
+        // The block is conjugated against itself: `prev` is `dst`.
+        let bd = self.buf_of_multi(dst);
+        self.charge_local_rw(LocalKind::Vma, 2.0 * sf * sf, 24.0 * sf, [bd, bd], bd);
+    }
+
+    /// The charges of one basis shift: the column copy, then the GEMV.
+    fn charge_shift(&mut self, block: &MultiVector, col: &[f64]) {
+        let bc = self.buf_of(col);
+        self.charge_local_rw(LocalKind::Vma, 0.0, 16.0, [bc, BufId::ANON], bc);
+        let k = block.ncols() as f64;
+        let bx = self.buf_of_multi(block);
+        self.charge_local_rw(LocalKind::Vma, 2.0 * k, 8.0 * (k + 2.0), [bx, bc], bc);
+    }
+}
+
 impl<C: Context> Context for Unfused<C> {
     fn block_recurrence_step(&mut self, step: RecurrenceStep<'_, '_>, x: &mut [f64]) {
         let RecurrenceStep {
@@ -24,26 +50,42 @@ impl<C: Context> Context for Unfused<C> {
             alpha_x,
             shift,
             extra_vma_flops_per_row: extra,
+            packet,
         } = step;
+        // Numerics: conjugate from copies of the old blocks, then shift.
         for f in families.iter_mut() {
-            self.block_combine(f.dirs_next, f.pow, 0, f.dirs, b);
-        }
-        for w in 0..families[0].apow.len() {
-            for f in families.iter_mut() {
-                self.block_combine(&mut f.apow_next[w], f.pow, w + 1, &f.apow[w], b);
+            let (pow, dirs, apow) = (f.pow.clone(), f.dirs.clone(), f.apow.to_vec());
+            f.dirs.combine_window(&pow, 0, &dirs, b);
+            for (w, blk) in f.apow.iter_mut().enumerate() {
+                blk.combine_window(&pow, w + 1, &apow[w], b);
+                if shift {
+                    blk.gemv_sub(alpha, f.pow.col_mut(w));
+                }
             }
         }
-        self.block_gemv_acc(families[0].dirs_next, alpha_x, x);
+        // Charges, in the order the unfused solvers made the calls.
+        let families = &*families;
+        for f in families {
+            self.charge_combine(f.dirs, f.pow, 0);
+        }
+        let nw = families[0].apow.len();
+        for w in 0..nw {
+            for f in families {
+                self.charge_combine(&f.apow[w], f.pow, w + 1);
+            }
+        }
+        self.block_gemv_acc(families[0].dirs, alpha_x, x);
         if extra > 0.0 {
             self.charge_local(LocalKind::Vma, extra, 8.0 * extra);
         }
         if shift {
-            for w in 0..families[0].apow.len() {
-                for f in families.iter_mut().rev() {
-                    let dst = f.pow_next.col_mut(w);
-                    self.block_gemv_sub_into(&f.apow_next[w], alpha, f.pow.col(w), dst);
+            for w in 0..nw {
+                for f in families.iter().rev() {
+                    self.charge_shift(&f.apow[w], f.pow.col(w));
                 }
             }
+            let (u, r) = (&families[0], &families[families.len() - 1]);
+            self.local_gram_packet(u.pow, r.pow, u.dirs, packet);
         }
     }
 

@@ -18,7 +18,7 @@ use pscg_par::{knobs, set_global_threads, Pool};
 use pscg_precond::Jacobi;
 use pscg_sim::SimCtx;
 use pscg_sparse::dense::DenseMatrix;
-use pscg_sparse::multivec::{fused_recurrence_step_with, RecurrenceFamily};
+use pscg_sparse::multivec::{fused_recurrence_step_with, GramPacketBuf, RecurrenceFamily};
 use pscg_sparse::stencil::{poisson3d_7pt, Grid3};
 use pscg_sparse::MultiVector;
 
@@ -100,8 +100,9 @@ fn every_method_is_race_free_at_one_and_four_threads() {
 
     // The fused recurrence pass on its own, so its accesses cannot hide
     // among the other kernels' (it lives in this test because the recording
-    // log is process-global): every input block must show up as a read,
-    // every output block as a write, and the schedule must be race-free.
+    // log is process-global): every block is updated in place, so each must
+    // show up both as a read and as a write, by row range, and the schedule
+    // must be race-free — while one read widened by a row is a race.
     fused_recurrence_pass_is_traced_and_race_free();
 }
 
@@ -115,36 +116,28 @@ fn fused_recurrence_pass_is_traced_and_race_free() {
         m
     };
     let blocks = || (0..=s).map(|_| block(s)).collect::<Vec<_>>();
-    let (pow, mut pow_next) = (block(2 * s + 1), block(2 * s + 1));
-    let (dirs, mut dirs_next) = (block(s), block(s));
-    let (apow, mut apow_next) = (blocks(), blocks());
+    let (mut pow, mut dirs, mut apow) = (block(2 * s + 1), block(s), blocks());
     let mut b = DenseMatrix::zeros(s, s);
     (0..s).for_each(|i| b.set(i, (i + 1) % s, 0.5));
     let alpha = vec![0.25; s];
 
     let addr = |m: &MultiVector| m.data().as_ptr() as u64;
-    let inputs: Vec<u64> = [&pow, &dirs].into_iter().chain(&apow).map(addr).collect();
-    let outputs: Vec<u64> = [&pow_next, &dirs_next]
-        .into_iter()
-        .chain(&apow_next)
-        .map(addr)
-        .collect();
+    let in_place: Vec<u64> = [&pow, &dirs].into_iter().chain(&apow).map(addr).collect();
+    let pow_addr = addr(&pow);
 
     sync_trace::drain();
     sync_trace::set_enabled(true);
     fused_recurrence_step_with(
         &Pool::new(4),
         &mut [RecurrenceFamily {
-            pow: &pow,
-            pow_next: &mut pow_next,
-            dirs: &dirs,
-            dirs_next: &mut dirs_next,
-            apow: &apow,
-            apow_next: &mut apow_next,
+            pow: &mut pow,
+            dirs: &mut dirs,
+            apow: &mut apow,
         }],
         &b,
         &alpha,
         true,
+        &mut GramPacketBuf::new(s),
     );
     sync_trace::set_enabled(false);
     let trace = sync_trace::drain();
@@ -157,12 +150,12 @@ fn fused_recurrence_pass_is_traced_and_race_free() {
         })
     };
     assert!(
-        inputs.iter().all(|&buf| seen(false, buf)),
-        "fused pass: an input block was never recorded as read"
+        in_place.iter().all(|&buf| seen(false, buf)),
+        "fused pass: a block was never recorded as read"
     );
     assert!(
-        outputs.iter().all(|&buf| seen(true, buf)),
-        "fused pass: an output block was never recorded as written"
+        in_place.iter().all(|&buf| seen(true, buf)),
+        "fused pass: a block was never recorded as written"
     );
     assert!(
         trace
@@ -178,6 +171,44 @@ fn fused_recurrence_pass_is_traced_and_race_free() {
         "fused pass: {} race(s), first: {}",
         report.races.len(),
         report.races[0]
+    );
+
+    // Plant: the first job's read of the first basis column reaches one row
+    // into the second job's chunk, which that job rewrites in the shift.
+    // The second job's records are moved to a thread of their own — a
+    // schedule the pool could have produced — so the verdict does not hang
+    // on which worker happened to claim it.
+    let mut planted = trace;
+    let mut in_job_one: Vec<u64> = Vec::new();
+    for r in &mut planted.records {
+        if let SyncEvent::ClaimAcquire { index: 1, .. } = r.event {
+            in_job_one.push(r.thread);
+        }
+        let finished = matches!(r.event, SyncEvent::FinishIndex { .. });
+        if in_job_one.contains(&r.thread) {
+            if finished {
+                in_job_one.retain(|&t| t != r.thread);
+            }
+            r.thread = u64::MAX;
+        }
+    }
+    let widened = planted
+        .records
+        .iter_mut()
+        .find_map(|r| match &mut r.event {
+            SyncEvent::BufRead { buf, lo: 0, hi } if *buf == pow_addr => Some(hi),
+            _ => None,
+        })
+        .expect("fused pass: no read of the first rows of the basis");
+    *widened += 1;
+    let report = detect_races(&planted);
+    assert!(!report.cyclic, "planted trace: cyclic sync trace");
+    assert!(
+        report
+            .races
+            .iter()
+            .any(|r| r.buf == pow_addr && r.first.write != r.second.write),
+        "fused pass: a read overlapping a neighbour's rows was not flagged"
     );
 }
 

@@ -9,11 +9,12 @@
 //! test function installs the *same* knob values, so the process-global
 //! settings are race-free under the parallel test runner.
 //!
-//! The last test extends the contract to the fused recurrence pass of the
-//! pipelined s-step methods: whole solves through it must equal, bit for
-//! bit and trace op for trace op, solves through the unfused sequence it
-//! replaced ([`common::Unfused`]) at every thread count. It is the only
-//! test here that resizes the process-global pool.
+//! The last test extends the contract to the fused in-place recurrence pass
+//! of the pipelined s-step methods: whole solves through it must equal, bit
+//! for bit and trace op for trace op, solves through the out-of-place
+//! sequence and stand-alone Gram packet it replaced ([`common::Unfused`])
+//! at every thread count. It is the only test here that resizes the
+//! process-global pool.
 
 mod common;
 
@@ -217,8 +218,8 @@ fn fused_update_sweeps_are_bitwise_identical_across_thread_counts() {
 
         let mut dst1 = MultiVector::zeros(n, s);
         dst1.combine_window_with(&Pool::new(1), &src, 1, &prev, &b);
-        let mut shift1 = vec![f64::NAN; n];
-        prev.gemv_sub_into_with(&Pool::new(1), &alpha, &shift_src, &mut shift1);
+        let mut shift1 = shift_src.clone();
+        prev.gemv_sub_with(&Pool::new(1), &alpha, &mut shift1);
         let mut acc1 = random_multivec(&mut rng, n, s);
         let acc_seed = acc1.clone();
         acc1.add_mul_with(&Pool::new(1), &prev, &b);
@@ -227,8 +228,8 @@ fn fused_update_sweeps_are_bitwise_identical_across_thread_counts() {
             let pool = Pool::new(t);
             let mut dst = MultiVector::zeros(n, s);
             dst.combine_window_with(&pool, &src, 1, &prev, &b);
-            let mut shift = vec![f64::NAN; n];
-            prev.gemv_sub_into_with(&pool, &alpha, &shift_src, &mut shift);
+            let mut shift = shift_src.clone();
+            prev.gemv_sub_with(&pool, &alpha, &mut shift);
             let mut acc = acc_seed.clone();
             acc.add_mul_with(&pool, &prev, &b);
             for j in 0..s {
@@ -252,7 +253,7 @@ fn fused_update_sweeps_are_bitwise_identical_across_thread_counts() {
                     .iter()
                     .zip(&shift)
                     .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "gemv_sub_into diverged at n = {n}, {t} threads"
+                "gemv_sub diverged at n = {n}, {t} threads"
             );
         }
     }

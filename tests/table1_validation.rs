@@ -213,6 +213,17 @@ fn memory_footprint_ordering_matches_table1() {
     assert!(pcg < pipecg, "PCG {pcg} vs PIPECG {pipecg}");
     assert!(pipecg < oati, "PIPECG {pipecg} vs OATI {oati}");
     assert!(oati < pipe_pscg, "OATI {oati} vs PIPE-PsCG {pipe_pscg}");
+    // The recurrence phase runs in place, so PIPE-PsCG holds no second copy
+    // of its blocks and stays within the paper's 4s² + 12s + 5.
+    let table = costmodel::table1()
+        .into_iter()
+        .find(|r| r.method == "PIPE-PsCG")
+        .expect("Table I has a PIPE-PsCG row");
+    assert!(
+        pipe_pscg as f64 <= (table.memory)(3),
+        "PIPE-PsCG allocates {pipe_pscg} vectors, Table I says {}",
+        (table.memory)(3)
+    );
 }
 
 #[test]
