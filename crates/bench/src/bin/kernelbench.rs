@@ -1,42 +1,36 @@
-//! Kernel-engine benchmark: per-kernel, per-format GFLOP/s at several
-//! thread counts.
+//! Kernel-engine benchmark: per-kernel GFLOP/s at several thread counts.
 //!
 //! ```text
-//! kernelbench [--grid N] [--threads LIST] [--s S] [--formats LIST]
-//!             [--out PATH] [--check] [--min-speedup X] [--baseline PATH]
-//!             [--telemetry PATH] [tune]
+//! kernelbench [--grid N] [--threads LIST] [--s S] [--out PATH] [--check]
+//!             [--min-speedup X] [--baseline PATH] [--telemetry PATH] [tune]
 //! ```
 //!
 //! Measures the hot paths of the s-step overlap window — SpMV, the blocked
 //! Gram product, one fused update sweep (`fused_update`), the whole
 //! in-place recurrence pass of a PIPE-PsCG iteration with its Gram packet
-//! (`fused_step`) and the Gram packet kernel alone (`gram_packet`), the
-//! last two reported with their computed GB/s over the unique columns they
-//! move — on the 7-pt
-//! Poisson stencil at `N³` (default 256³, the CI perf-smoke problem), each
-//! at every thread count in `--threads` (default `1,4`). SpMV is measured
-//! once per storage format in `--formats` (default: all of
-//! [`SpmvFormat::ALL`] — see DESIGN.md §12); every format cell records its
-//! effective bytes/nnz so the traffic trajectory is tracked alongside
-//! GFLOP/s. Writes a JSON baseline (`--out`, default `BENCH_kernels.json`).
+//! (`fused_step`) and the Gram packet kernel alone (`gram_packet`) — on the
+//! 7-pt Poisson stencil at `N³` (default 256³, the CI perf-smoke problem),
+//! each at every thread count in `--threads` (default `1,4`). SpMV and the
+//! last two are reported with their computed GB/s: the cost model's bytes
+//! for SpMV (DESIGN.md §12), the unique columns moved for the other two.
+//! Writes a JSON baseline (`--out`, default `BENCH_kernels.json`).
 //!
 //! `--check` enforces the perf-smoke gate: parallel SpMV at the highest
-//! thread count must reach `--min-speedup` (default 1.0) over serial *for
-//! every measured format*. The gate only binds when the host actually has
-//! that many cores — on a smaller machine the result is recorded and an
-//! explicit `gate: SKIPPED` line is printed (a 4-thread pool on one core
-//! measures oversubscription, not the engine).
+//! thread count must reach `--min-speedup` (default 1.0) over serial. The
+//! gate only binds when the host actually has that many cores — on a
+//! smaller machine the result is recorded and an explicit `gate: SKIPPED`
+//! line is printed (a 4-thread pool on one core measures oversubscription,
+//! not the engine).
 //!
 //! `--baseline PATH` compares this run against a previously committed
-//! report: every (kernel, format, threads) cell present in both is
-//! compared, a >20% GFLOP/s drop is a regression and fails the run with
-//! exit 1. Cells whose thread count exceeds the host's cores are skipped
+//! report: every (kernel, threads) cell present in both is compared, a
+//! >20% GFLOP/s drop is a regression and fails the run with exit 1. Cells whose thread count exceeds the host's cores are skipped
 //! with an explicit log line, as is the whole comparison on a host too
 //! small to enforce anything meaningful.
 //!
 //! `tune` sweeps the chunk-size knobs around the model defaults
-//! ([`pipescg::autotune::KernelTuning`]) plus the SpMV format over every
-//! requested thread count, and prints/installs the empirical best.
+//! ([`pipescg::autotune::KernelTuning`]) at the highest requested thread
+//! count, and prints/installs the empirical best.
 //!
 //! `--telemetry PATH` records one `bench` span per measured
 //! (kernel, thread-count) cell and writes a Chrome trace-event file
@@ -54,25 +48,23 @@ use pscg_sparse::multivec::{
     fused_recurrence_step_with, gram_packet_with, GramPacketBuf, RecurrenceFamily,
 };
 use pscg_sparse::stencil::{poisson3d_7pt, Grid3};
-use pscg_sparse::{set_spmv_format, CsrMatrix, MultiVector, SpmvFormat};
+use pscg_sparse::{CsrMatrix, MultiVector};
 
-/// One measured (kernel, format, thread-count) cell. `format`,
-/// `bytes_per_nnz` and `model_bytes_per_nnz` are populated for SpMV cells
-/// only — the Gram and fused sweeps are format-independent.
+/// One measured (kernel, thread-count) cell.
 struct Cell {
     kernel: &'static str,
-    format: Option<SpmvFormat>,
     threads: usize,
     median_secs: f64,
     gflops: f64,
+    /// `spmv` only: the cost model's traffic per stored entry (DESIGN.md
+    /// §12), the bytes behind its `gbps_computed`.
     bytes_per_nnz: Option<f64>,
-    /// Cost-model traffic for this format (DESIGN.md §13): what the
-    /// roofline attribution will assume per nonzero.
-    model_bytes_per_nnz: Option<f64>,
-    /// `fused_step` and `gram_packet` only: the rows they ran on and the
-    /// computed GB/s, each unique column counted once per direction it
-    /// moves (read, and written back if updated).
-    streamed: Option<(usize, f64)>,
+    /// `fused_step` and `gram_packet` only: the rows they ran on.
+    rows: Option<usize>,
+    /// Computed bytes over measured time: the model's bytes for `spmv`; for
+    /// `fused_step` and `gram_packet` each unique column counted once per
+    /// direction it moves (read, and written back if updated).
+    gbps_computed: Option<f64>,
 }
 
 /// Rows of the `fused_step` and `gram_packet` cells: the two families hold
@@ -116,7 +108,6 @@ struct Config {
     grid: usize,
     threads: Vec<usize>,
     s: usize,
-    formats: Vec<SpmvFormat>,
     out: String,
     check: bool,
     min_speedup: f64,
@@ -130,7 +121,6 @@ fn parse_args() -> Config {
         grid: 256,
         threads: vec![1, 4],
         s: 4,
-        formats: SpmvFormat::ALL.to_vec(),
         out: "BENCH_kernels.json".to_string(),
         check: false,
         min_speedup: 1.0,
@@ -153,15 +143,6 @@ fn parse_args() -> Config {
                     .collect();
             }
             "--s" => cfg.s = val("--s").parse().expect("--s: integer"),
-            "--formats" => {
-                cfg.formats = val("--formats")
-                    .split(',')
-                    .map(|f| {
-                        SpmvFormat::parse(f)
-                            .unwrap_or_else(|| panic!("--formats: unknown format {f:?}"))
-                    })
-                    .collect();
-            }
             "--out" => cfg.out = val("--out"),
             "--check" => cfg.check = true,
             "--min-speedup" => {
@@ -174,8 +155,8 @@ fn parse_args() -> Config {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
                     "usage: kernelbench [--grid N] [--threads LIST] [--s S] \
-                     [--formats LIST] [--out PATH] [--check] [--min-speedup X] \
-                     [--baseline PATH] [--telemetry PATH] [tune]"
+                     [--out PATH] [--check] [--min-speedup X] [--baseline PATH] \
+                     [--telemetry PATH] [tune]"
                 );
                 std::process::exit(2);
             }
@@ -184,10 +165,6 @@ fn parse_args() -> Config {
     assert!(
         !cfg.threads.is_empty(),
         "--threads: need at least one count"
-    );
-    assert!(
-        !cfg.formats.is_empty(),
-        "--formats: need at least one format"
     );
     cfg
 }
@@ -256,7 +233,7 @@ fn bench_all(cfg: &Config, a: &CsrMatrix) -> Vec<Cell> {
     let fs_fl = (2 * (2 * s * s * (s + 2) + 2 * s * (s + 1)) * nf) as u64 + gp_fl;
     let fs_bytes = (2 * (2 * s * s + 7 * s + 2) * nf * 8) as f64;
 
-    let entry_format = pscg_sparse::spmv_format();
+    let spmv_bytes_per_nnz = spmv_model_bytes_per_nnz(a.nnz() as f64, n as f64);
     let mut cells = Vec::new();
     for &t in &cfg.threads {
         let pool = Pool::new(t);
@@ -265,30 +242,25 @@ fn bench_all(cfg: &Config, a: &CsrMatrix) -> Vec<Cell> {
         // One `bench` span per measured cell (arg = thread count); inert
         // unless --telemetry enabled recording.
         let spmv_fl = 2 * a.nnz() as u64;
-        for &fmt in &cfg.formats {
-            set_spmv_format(fmt);
-            let m = {
-                let _sp = pscg_obs::span_arg(SpanKind::Bench, t as u64);
-                group.bench_flops(&format!("spmv[{fmt}]"), a.nnz() as u64, spmv_fl, || {
-                    a.spmv_with(
-                        &pool,
-                        std::hint::black_box(&x),
-                        std::hint::black_box(&mut y),
-                    )
-                })
-            };
-            cells.push(Cell {
-                kernel: "spmv",
-                format: Some(fmt),
-                threads: t,
-                median_secs: m,
-                gflops: gflops_per_sec(spmv_fl, m),
-                bytes_per_nnz: Some(a.spmv_traffic_bytes(fmt) / a.nnz() as f64),
-                model_bytes_per_nnz: Some(spmv_model_bytes_per_nnz(fmt, a.nnz() as f64, n as f64)),
-                streamed: None,
-            });
-        }
-        set_spmv_format(entry_format);
+        let m = {
+            let _sp = pscg_obs::span_arg(SpanKind::Bench, t as u64);
+            group.bench_flops("spmv", a.nnz() as u64, spmv_fl, || {
+                a.spmv_with(
+                    &pool,
+                    std::hint::black_box(&x),
+                    std::hint::black_box(&mut y),
+                )
+            })
+        };
+        cells.push(Cell {
+            kernel: "spmv",
+            threads: t,
+            median_secs: m,
+            gflops: gflops_per_sec(spmv_fl, m),
+            bytes_per_nnz: Some(spmv_bytes_per_nnz),
+            rows: None,
+            gbps_computed: Some(spmv_bytes_per_nnz * a.nnz() as f64 / m / 1e9),
+        });
 
         let gram_fl = (2 * s * s * n) as u64;
         let m = {
@@ -299,13 +271,12 @@ fn bench_all(cfg: &Config, a: &CsrMatrix) -> Vec<Cell> {
         };
         cells.push(Cell {
             kernel: "gram",
-            format: None,
             threads: t,
             median_secs: m,
             gflops: gflops_per_sec(gram_fl, m),
             bytes_per_nnz: None,
-            model_bytes_per_nnz: None,
-            streamed: None,
+            rows: None,
+            gbps_computed: None,
         });
 
         let fu_fl = fused_flops(n, s);
@@ -318,13 +289,12 @@ fn bench_all(cfg: &Config, a: &CsrMatrix) -> Vec<Cell> {
         };
         cells.push(Cell {
             kernel: "fused_update",
-            format: None,
             threads: t,
             median_secs: m,
             gflops: gflops_per_sec(fu_fl, m),
             bytes_per_nnz: None,
-            model_bytes_per_nnz: None,
-            streamed: None,
+            rows: None,
+            gbps_computed: None,
         });
 
         let m = {
@@ -343,13 +313,12 @@ fn bench_all(cfg: &Config, a: &CsrMatrix) -> Vec<Cell> {
         };
         cells.push(Cell {
             kernel: "fused_step",
-            format: None,
             threads: t,
             median_secs: m,
             gflops: gflops_per_sec(fs_fl, m),
             bytes_per_nnz: None,
-            model_bytes_per_nnz: None,
-            streamed: Some((nf, fs_bytes / m / 1e9)),
+            rows: Some(nf),
+            gbps_computed: Some(fs_bytes / m / 1e9),
         });
 
         let m = {
@@ -366,41 +335,27 @@ fn bench_all(cfg: &Config, a: &CsrMatrix) -> Vec<Cell> {
         };
         cells.push(Cell {
             kernel: "gram_packet",
-            format: None,
             threads: t,
             median_secs: m,
             gflops: gflops_per_sec(gp_fl, m),
             bytes_per_nnz: None,
-            model_bytes_per_nnz: None,
-            streamed: Some((nf, gp_bytes / m / 1e9)),
+            rows: Some(nf),
+            gbps_computed: Some(gp_bytes / m / 1e9),
         });
     }
     cells
 }
 
-/// Serial-baseline speedup of `(kernel, format)` at `threads`, if both the
-/// serial and parallel cells were measured.
-fn speedup(
-    cells: &[Cell],
-    kernel: &str,
-    format: Option<SpmvFormat>,
-    threads: usize,
-) -> Option<f64> {
-    let serial = cells
-        .iter()
-        .find(|c| c.kernel == kernel && c.format == format && c.threads == 1)?;
-    let par = cells
-        .iter()
-        .find(|c| c.kernel == kernel && c.format == format && c.threads == threads)?;
-    Some(serial.median_secs / par.median_secs)
+/// Serial-baseline speedup of `kernel` at `threads`, if both the serial and
+/// parallel cells were measured.
+fn speedup(cells: &[Cell], kernel: &str, threads: usize) -> Option<f64> {
+    let at = |t: usize| cells.iter().find(|c| c.kernel == kernel && c.threads == t);
+    Some(at(1)?.median_secs / at(threads)?.median_secs)
 }
 
 /// JSON cell key used in the `speedup_vs_serial` map and in log lines.
-fn cell_key(kernel: &str, format: Option<SpmvFormat>, threads: usize) -> String {
-    match format {
-        Some(f) => format!("{kernel}[{f}]@{threads}"),
-        None => format!("{kernel}@{threads}"),
-    }
+fn cell_key(kernel: &str, threads: usize) -> String {
+    format!("{kernel}@{threads}")
 }
 
 fn write_json(
@@ -425,60 +380,37 @@ fn write_json(
     let _ = writeln!(out, "  \"host_cores\": {host_cores},");
     let _ = writeln!(
         out,
-        "  \"formats\": [{}],",
-        cfg.formats
-            .iter()
-            .map(|f| format!("\"{f}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(
-        out,
-        "  \"knobs\": {{ \"spmv_chunk_nnz\": {}, \"gram_chunk_rows\": {}, \"sell_sigma\": {}, \"sym_chunk_nnz\": {} }},",
+        "  \"knobs\": {{ \"spmv_chunk_nnz\": {}, \"gram_chunk_rows\": {} }},",
         knobs::spmv_chunk_nnz(),
-        knobs::gram_chunk_rows(),
-        knobs::sell_sigma(),
-        knobs::sym_chunk_nnz()
+        knobs::gram_chunk_rows()
     );
     let _ = writeln!(out, "  \"results\": [");
     for (i, c) in cells.iter().enumerate() {
         let comma = if i + 1 < cells.len() { "," } else { "" };
-        let fmt_field = match c.format {
-            Some(f) => format!("\"format\": \"{f}\", "),
-            None => String::new(),
-        };
-        let traffic = match (c.bytes_per_nnz, c.model_bytes_per_nnz) {
-            (Some(b), Some(m)) => {
-                format!(", \"bytes_per_nnz\": {b:.2}, \"model_bytes_per_nnz\": {m:.2}")
-            }
-            (Some(b), None) => format!(", \"bytes_per_nnz\": {b:.2}"),
-            _ => match c.streamed {
-                Some((rows, gbps)) => format!(", \"rows\": {rows}, \"gbps_computed\": {gbps:.2}"),
-                None => String::new(),
-            },
-        };
+        let mut traffic = String::new();
+        if let Some(b) = c.bytes_per_nnz {
+            let _ = write!(traffic, ", \"bytes_per_nnz\": {b:.2}");
+        }
+        if let Some(rows) = c.rows {
+            let _ = write!(traffic, ", \"rows\": {rows}");
+        }
+        if let Some(gbps) = c.gbps_computed {
+            let _ = write!(traffic, ", \"gbps_computed\": {gbps:.2}");
+        }
         let _ = writeln!(
             out,
-            "    {{ \"kernel\": \"{}\", {}\"threads\": {}, \"median_secs\": {:.6e}, \"gflops\": {:.4}{} }}{comma}",
-            c.kernel, fmt_field, c.threads, c.median_secs, c.gflops, traffic
+            "    {{ \"kernel\": \"{}\", \"threads\": {}, \"median_secs\": {:.6e}, \"gflops\": {:.4}{} }}{comma}",
+            c.kernel, c.threads, c.median_secs, c.gflops, traffic
         );
     }
     let _ = writeln!(out, "  ],");
     let _ = writeln!(out, "  \"speedup_vs_serial\": {{");
     let tmax = *cfg.threads.iter().max().unwrap();
-    let mut keys: Vec<(String, Option<f64>)> = Vec::new();
-    for &f in &cfg.formats {
-        keys.push((
-            cell_key("spmv", Some(f), tmax),
-            speedup(cells, "spmv", Some(f), tmax),
-        ));
-    }
-    for k in ["gram", "fused_update", "fused_step", "gram_packet"] {
-        keys.push((cell_key(k, None, tmax), speedup(cells, k, None, tmax)));
-    }
-    for (i, (key, sp)) in keys.iter().enumerate() {
-        let comma = if i + 1 < keys.len() { "," } else { "" };
-        match sp {
+    let kernels = ["spmv", "gram", "fused_update", "fused_step", "gram_packet"];
+    for (i, k) in kernels.iter().enumerate() {
+        let comma = if i + 1 < kernels.len() { "," } else { "" };
+        let key = cell_key(k, tmax);
+        match speedup(cells, k, tmax) {
             Some(sp) => {
                 let _ = writeln!(out, "    \"{key}\": {sp:.3}{comma}");
             }
@@ -490,7 +422,7 @@ fn write_json(
     let _ = writeln!(out, "  }},");
     let _ = writeln!(
         out,
-        "  \"check\": {{ \"enforced\": {}, \"passed\": {}, \"min_speedup\": {}, \"detail\": \"{}\" }}{}",
+        "  \"check\": {{ \"enforced\": {}, \"passed\": {}, \"min_speedup\": {:?}, \"detail\": \"{}\" }}{}",
         gate.enforced,
         gate.passed.map_or("null".to_string(), |p| p.to_string()),
         cfg.min_speedup,
@@ -531,8 +463,8 @@ struct GateResult {
 }
 
 /// The perf-smoke gate: SpMV at the top thread count must reach the
-/// required speedup over serial for *every* measured format — enforced
-/// only when the host can actually run that many lanes.
+/// required speedup over serial — enforced only when the host can actually
+/// run that many lanes.
 fn evaluate_gate(cfg: &Config, cells: &[Cell]) -> GateResult {
     let tmax = *cfg.threads.iter().max().unwrap();
     let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
@@ -543,22 +475,15 @@ fn evaluate_gate(cfg: &Config, cells: &[Cell]) -> GateResult {
             detail: "single-threaded run, nothing to compare".into(),
         };
     }
-    let mut report = Vec::new();
-    let mut worst = f64::INFINITY;
-    for &f in &cfg.formats {
-        let Some(sp) = speedup(cells, "spmv", Some(f), tmax) else {
-            return GateResult {
-                enforced: false,
-                passed: None,
-                detail: format!("no serial baseline measured for spmv[{f}]"),
-            };
+    let Some(sp) = speedup(cells, "spmv", tmax) else {
+        return GateResult {
+            enforced: false,
+            passed: None,
+            detail: "no serial baseline measured for spmv".into(),
         };
-        worst = worst.min(sp);
-        report.push(format!("{f} {sp:.3}"));
-    }
+    };
     let detail = format!(
-        "spmv speedups at {tmax} threads: {} (required >= {})",
-        report.join(", "),
+        "spmv speedup at {tmax} threads: {sp:.3} (required >= {})",
         cfg.min_speedup
     );
     if host_cores < tmax {
@@ -570,7 +495,7 @@ fn evaluate_gate(cfg: &Config, cells: &[Cell]) -> GateResult {
     }
     GateResult {
         enforced: true,
-        passed: Some(worst >= cfg.min_speedup),
+        passed: Some(sp >= cfg.min_speedup),
         detail,
     }
 }
@@ -602,11 +527,10 @@ fn json_field(line: &str, key: &str) -> Option<String> {
 }
 
 /// Compares this run's cells against a committed baseline report: any
-/// (kernel, format, threads) cell present in both whose GFLOP/s dropped
-/// more than 20% is a regression. Baseline cells without a `format` field
-/// (the pre-format schema) are matched against the plain-CSR cell. Cells
-/// the host cannot genuinely run (threads > cores) are skipped with a log
-/// line rather than compared against oversubscribed numbers.
+/// (kernel, threads) cell present in both whose GFLOP/s dropped more than
+/// 20% is a regression. Cells the host cannot genuinely run (threads >
+/// cores) are skipped with a log line rather than compared against
+/// oversubscribed numbers.
 fn compare_baseline(path: &str, cells: &[Cell]) -> BaselineCmp {
     let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("--baseline {path}: {e}"));
@@ -636,17 +560,10 @@ fn compare_baseline(path: &str, cells: &[Cell]) -> BaselineCmp {
         else {
             continue;
         };
-        // Pre-format baselines carry no format field: their spmv cells
-        // were plain CSR.
-        let format = match json_field(line, "format") {
-            Some(f) => SpmvFormat::parse(&f),
-            None if kernel == "spmv" => Some(SpmvFormat::Csr),
-            None => None,
-        };
-        let key = cell_key(&kernel, format, threads);
+        let key = cell_key(&kernel, threads);
         let Some(new) = cells
             .iter()
-            .find(|c| c.kernel == kernel && c.format == format && c.threads == threads)
+            .find(|c| c.kernel == kernel && c.threads == threads)
         else {
             continue; // cell not measured in this run
         };
@@ -668,15 +585,15 @@ fn compare_baseline(path: &str, cells: &[Cell]) -> BaselineCmp {
     cmp
 }
 
-/// Sweeps the chunk knobs around the model suggestion plus the SpMV format
-/// over every requested thread count, re-timing SpMV and Gram, and
-/// prints/installs the empirical best.
+/// Sweeps the chunk knobs around the model suggestion at the top requested
+/// thread count, re-timing SpMV and Gram, and prints/installs the empirical
+/// best.
 fn tune(cfg: &Config, a: &mut CsrMatrix) {
     let n = a.nrows();
     let suggested = KernelTuning::for_problem(a.nnz(), cfg.s);
     println!(
-        "\nmodel suggestion: threads = {}, spmv_chunk_nnz = {}, gram_chunk_rows = {}, format = {}",
-        suggested.threads, suggested.spmv_chunk_nnz, suggested.gram_chunk_rows, suggested.format
+        "\nmodel suggestion: threads = {}, spmv_chunk_nnz = {}, gram_chunk_rows = {}",
+        suggested.threads, suggested.spmv_chunk_nnz, suggested.gram_chunk_rows
     );
     let tmax = *cfg.threads.iter().max().unwrap();
     let pool = Pool::new(tmax);
@@ -708,34 +625,6 @@ fn tune(cfg: &Config, a: &mut CsrMatrix) {
     println!("\nbest spmv_chunk_nnz: {}", best.1);
     knobs::set_spmv_chunk_nnz(best.1);
     a.reset_par_rows();
-
-    // Format sweep: every requested format at every requested thread
-    // count; the winner at the top thread count is installed.
-    let mut best = (f64::INFINITY, SpmvFormat::Csr);
-    for &t in &cfg.threads {
-        let tpool = Pool::new(t);
-        let group = Group::new(&format!("tune_spmv_format_t{t}"));
-        for &fmt in &cfg.formats {
-            set_spmv_format(fmt);
-            let m = group.bench_flops(
-                &format!("format={fmt}"),
-                a.nnz() as u64,
-                2 * a.nnz() as u64,
-                || {
-                    a.spmv_with(
-                        &tpool,
-                        std::hint::black_box(&x),
-                        std::hint::black_box(&mut y),
-                    )
-                },
-            );
-            if t == tmax && m < best.0 {
-                best = (m, fmt);
-            }
-        }
-    }
-    println!("\nbest spmv format at {tmax} thread(s): {}", best.1);
-    set_spmv_format(best.1);
 
     let s = cfg.s;
     let cols: Vec<Vec<f64>> = (0..s)
@@ -770,19 +659,14 @@ fn tune(cfg: &Config, a: &mut CsrMatrix) {
 fn main() {
     let cfg = parse_args();
     println!(
-        "# kernelbench — 7pt Poisson {0}³ ({1} threads), s = {2}, formats: {3}",
+        "# kernelbench — 7pt Poisson {0}³ ({1} threads), s = {2}",
         cfg.grid,
         cfg.threads
             .iter()
             .map(|t| t.to_string())
             .collect::<Vec<_>>()
             .join("/"),
-        cfg.s,
-        cfg.formats
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("/")
+        cfg.s
     );
     let mut a = poisson3d_7pt(Grid3::cube(cfg.grid), None);
     println!("nrows = {}, nnz = {}", a.nrows(), a.nnz());
@@ -812,21 +696,6 @@ fn main() {
             spans.records.len()
         );
     }
-    // Measured vs cost-model SpMV traffic per format (traffic is
-    // thread-count independent, so one row per format suffices).
-    println!("\n| spmv format | measured B/nnz | model B/nnz | ratio |");
-    println!("|---|---|---|---|");
-    let t0 = cfg.threads[0];
-    for c in cells
-        .iter()
-        .filter(|c| c.kernel == "spmv" && c.threads == t0)
-    {
-        let (Some(f), Some(b), Some(m)) = (c.format, c.bytes_per_nnz, c.model_bytes_per_nnz) else {
-            continue;
-        };
-        println!("| {f} | {b:.2} | {m:.2} | {:.2} |", b / m);
-    }
-
     let gate = evaluate_gate(&cfg, &cells);
     let baseline = cfg.baseline.as_deref().map(|p| compare_baseline(p, &cells));
     let json = write_json(&cfg, &a, &cells, &gate, baseline.as_ref());

@@ -1,8 +1,8 @@
 //! Offline perf-report analyzer (DESIGN.md §13).
 //!
 //! ```text
-//! perf-report [--telemetry DIR] [--report FILE] [--kernels FILE]
-//!             [--out DIR] [--baseline FILE] [--check] [--tolerance T]
+//! perf-report [--telemetry DIR] [--report FILE] [--out DIR]
+//!             [--baseline FILE] [--check] [--tolerance T]
 //!             [--validate-flight FILE]
 //! ```
 //!
@@ -12,9 +12,6 @@
 //! `OUT/perf_report.json` + `OUT/perf_report.md` with per-kernel achieved
 //! GFLOP/s / GB/s against the cost model and per-method achieved overlap
 //! against the IR's static capacity report.
-//!
-//! `--kernels FILE` additionally prints measured vs modelled SpMV
-//! bytes-per-nnz for every format in a kernelbench JSON artifact.
 //!
 //! `--check` compares the report against `--baseline FILE` (default
 //! `BENCH_perf_report.json`) and exits 17 when any method's SpMV/MPK
@@ -27,8 +24,6 @@
 use std::path::PathBuf;
 
 use pscg_bench::perf_report::{self, PerfReport};
-use pscg_obs::json::{parse as parse_json, Json};
-use pscg_sparse::SpmvFormat;
 
 /// Exit code for a `--check` regression (distinct from the verifier
 /// families' 10–16).
@@ -39,60 +34,9 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-/// Prints measured vs modelled SpMV bytes-per-nnz for every `spmv` result
-/// in a kernelbench JSON artifact.
-fn report_kernels(path: &PathBuf) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => fail(&format!("read {}: {e}", path.display())),
-    };
-    let doc = match parse_json(&text) {
-        Ok(d) => d,
-        Err(e) => fail(&format!("{}: {e}", path.display())),
-    };
-    let problem = doc.get("problem");
-    let nnz = problem
-        .and_then(|p| p.get("nnz"))
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    let nrows = problem
-        .and_then(|p| p.get("nrows"))
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    let Some(results) = doc.get("results").and_then(Json::as_arr) else {
-        fail(&format!("{}: no results array", path.display()));
-    };
-    println!(
-        "\n## Kernelbench SpMV traffic vs model ({})\n",
-        path.display()
-    );
-    println!("| format | threads | measured B/nnz | model B/nnz | ratio |");
-    println!("|---|---|---|---|---|");
-    for r in results {
-        if r.get("kernel").and_then(Json::as_str) != Some("spmv") {
-            continue;
-        }
-        let Some(fmt_name) = r.get("format").and_then(Json::as_str) else {
-            continue;
-        };
-        let Some(measured) = r.get("bytes_per_nnz").and_then(Json::as_f64) else {
-            continue;
-        };
-        let threads = r.get("threads").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-        let model = SpmvFormat::parse(fmt_name)
-            .map(|f| perf_report::spmv_model_bytes_per_nnz(f, nnz, nrows))
-            .unwrap_or(f64::NAN);
-        println!(
-            "| {fmt_name} | {threads} | {measured:.2} | {model:.2} | {:.2} |",
-            measured / model
-        );
-    }
-}
-
 fn main() {
     let mut telemetry = PathBuf::from("telemetry");
     let mut report_file: Option<PathBuf> = None;
-    let mut kernels: Option<PathBuf> = None;
     let mut out = PathBuf::from("results");
     let mut baseline = PathBuf::from("BENCH_perf_report.json");
     let mut do_check = false;
@@ -110,7 +54,6 @@ fn main() {
         match arg.as_str() {
             "--telemetry" => telemetry = path_arg("--telemetry"),
             "--report" => report_file = Some(path_arg("--report")),
-            "--kernels" => kernels = Some(path_arg("--kernels")),
             "--out" => out = path_arg("--out"),
             "--baseline" => baseline = path_arg("--baseline"),
             "--check" => do_check = true,
@@ -125,8 +68,8 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: perf-report [--telemetry DIR] [--report FILE] \
-                     [--kernels FILE] [--out DIR] [--baseline FILE] [--check] \
-                     [--tolerance T] [--validate-flight FILE]"
+                     [--out DIR] [--baseline FILE] [--check] [--tolerance T] \
+                     [--validate-flight FILE]"
                 );
                 return;
             }
@@ -149,13 +92,8 @@ fn main() {
         }
     }
 
-    if let Some(path) = &kernels {
-        report_kernels(path);
-    }
-
-    // With only a flight validation or kernels join requested, stop here.
-    let wants_report =
-        report_file.is_some() || (validate_flight.is_none() && kernels.is_none()) || do_check;
+    // With only a flight validation requested, stop here.
+    let wants_report = report_file.is_some() || validate_flight.is_none() || do_check;
     if !wants_report {
         return;
     }

@@ -20,15 +20,13 @@ use pscg_obs::attribution::{attribute, window_stats, KernelModel};
 use pscg_obs::json::{parse as parse_json, Json};
 use pscg_obs::metrics::SolveTelemetry;
 use pscg_obs::span::{SpanKind, SpanRecord, SpanSet};
-use pscg_sparse::SpmvFormat;
 
-/// Modelled SpMV traffic per stored entry, for reporting next to a
-/// measured `bytes_per_nnz` (kernelbench prints both).
-pub fn spmv_model_bytes_per_nnz(format: SpmvFormat, nnz: f64, rows: f64) -> f64 {
+/// Modelled SpMV traffic per stored entry (kernelbench's `bytes_per_nnz`).
+pub fn spmv_model_bytes_per_nnz(nnz: f64, rows: f64) -> f64 {
     if nnz <= 0.0 {
         return 0.0;
     }
-    costmodel::spmv_model_bytes(format, nnz, rows) / nnz
+    costmodel::spmv_model_bytes(pscg_sparse::spmv_format(), nnz, rows) / nnz
 }
 
 /// Resolves a method name as printed by `MethodKind::name` (the spelling
@@ -70,7 +68,6 @@ pub fn method_by_name(name: &str) -> Option<MethodKind> {
 pub fn models_for(
     method: MethodKind,
     s: usize,
-    format: SpmvFormat,
     nrows: usize,
     nnz: usize,
     pc_flops_per_row: f64,
@@ -79,7 +76,7 @@ pub fn models_for(
     let cost = pscg_ir::costs::body_cost(&pscg_ir::method_ir(method, s));
     let (rows, nnzf) = (nrows as f64, nnz as f64);
     let spmv_flops = 2.0 * nnzf;
-    let spmv_bytes = costmodel::spmv_model_bytes(format, nnzf, rows);
+    let spmv_bytes = costmodel::spmv_model_bytes(pscg_sparse::spmv_format(), nnzf, rows);
     let mut models = vec![
         KernelModel {
             kind: SpanKind::Spmv,
@@ -190,9 +187,7 @@ pub struct MethodPerf {
     pub iterations: u64,
     /// Wall time of the solve (ns).
     pub wall_ns: u64,
-    /// Active SpMV storage format.
-    pub spmv_format: String,
-    /// Modelled SpMV traffic per stored entry under that format.
+    /// Modelled SpMV traffic per stored entry.
     pub spmv_model_bytes_per_nnz: f64,
     /// Kernel attribution rows (kinds with no recorded spans omitted).
     pub kernels: Vec<KernelRow>,
@@ -252,11 +247,9 @@ fn kernel_rows(
 /// file-based path is [`from_dir`]).
 pub fn method_perf(method: MethodKind, spans: &SpanSet, tel: &SolveTelemetry) -> MethodPerf {
     let meta = &tel.meta;
-    let format = SpmvFormat::parse(meta.spmv_format).unwrap_or(SpmvFormat::Csr);
     let models = models_for(
         method,
         meta.s,
-        format,
         meta.nrows,
         meta.nnz,
         meta.pc_flops_per_row,
@@ -277,7 +270,6 @@ pub fn method_perf(method: MethodKind, spans: &SpanSet, tel: &SolveTelemetry) ->
         s: meta.s as u64,
         iterations,
         wall_ns: tel.finish.wall_ns,
-        spmv_format: meta.spmv_format.to_string(),
         spmv_model_bytes_per_nnz: meta.spmv_model_bytes_per_nnz,
         kernels,
         overlap,
@@ -346,7 +338,6 @@ struct StreamSummary {
     s: u64,
     nrows: usize,
     nnz: usize,
-    spmv_format: String,
     spmv_model_bytes_per_nnz: f64,
     pc_flops_per_row: f64,
     pc_bytes_per_row: f64,
@@ -375,7 +366,6 @@ fn parse_stream(text: &str) -> Result<StreamSummary, String> {
                     s: num_of("s") as u64,
                     nrows: num_of("nrows") as usize,
                     nnz: num_of("nnz") as usize,
-                    spmv_format: str_of("spmv_format")?,
                     spmv_model_bytes_per_nnz: num_of("spmv_model_bytes_per_nnz"),
                     pc_flops_per_row: num_of("pc_flops_per_row"),
                     pc_bytes_per_row: num_of("pc_bytes_per_row"),
@@ -425,11 +415,9 @@ pub fn from_dir(dir: &Path) -> Result<PerfReport, String> {
             jsonl_path.display(),
             stream.method
         ))?;
-        let format = SpmvFormat::parse(&stream.spmv_format).unwrap_or(SpmvFormat::Csr);
         let models = models_for(
             method,
             stream.s as usize,
-            format,
             stream.nrows,
             stream.nnz,
             stream.pc_flops_per_row,
@@ -455,7 +443,6 @@ pub fn from_dir(dir: &Path) -> Result<PerfReport, String> {
             s: stream.s,
             iterations: stream.iterations,
             wall_ns: stream.wall_ns,
-            spmv_format: stream.spmv_format,
             spmv_model_bytes_per_nnz: stream.spmv_model_bytes_per_nnz,
             kernels,
             overlap,
@@ -506,11 +493,9 @@ pub fn render_json(report: &PerfReport) -> String {
         push_jstr(&mut out, &m.method);
         let _ = write!(
             out,
-            ",\"s\":{},\"iterations\":{},\"wall_ns\":{},\"spmv_format\":",
+            ",\"s\":{},\"iterations\":{},\"wall_ns\":{},\"spmv_model_bytes_per_nnz\":",
             m.s, m.iterations, m.wall_ns
         );
-        push_jstr(&mut out, &m.spmv_format);
-        out.push_str(",\"spmv_model_bytes_per_nnz\":");
         push_jnum(&mut out, m.spmv_model_bytes_per_nnz);
         out.push_str(",\"kernels\":[");
         for (j, k) in m.kernels.iter().enumerate() {
@@ -642,7 +627,6 @@ pub fn parse_report(text: &str) -> Result<PerfReport, String> {
             s: num_of("s") as u64,
             iterations: num_of("iterations") as u64,
             wall_ns: num_of("wall_ns") as u64,
-            spmv_format: str_of("spmv_format")?,
             spmv_model_bytes_per_nnz: num_of("spmv_model_bytes_per_nnz"),
             kernels,
             overlap,
@@ -699,8 +683,8 @@ pub fn render_md(report: &PerfReport) -> String {
     for m in &report.methods {
         let _ = writeln!(
             out,
-            "\n`{}`: format {} — model {:.2} B/nnz",
-            m.method, m.spmv_format, m.spmv_model_bytes_per_nnz
+            "\n`{}`: SpMV model {:.2} B/nnz",
+            m.method, m.spmv_model_bytes_per_nnz
         );
     }
     out
@@ -767,7 +751,6 @@ mod tests {
                 s: 4,
                 iterations: 32,
                 wall_ns: 5_000_000,
-                spmv_format: "csr".into(),
                 spmv_model_bytes_per_nnz: 14.4,
                 kernels: vec![
                     KernelRow {
@@ -803,6 +786,11 @@ mod tests {
         let text = render_json(&report);
         let back = parse_report(&text).expect("reparses");
         assert_eq!(report, back);
+        // A dump written before the format axis was retired still loads:
+        // unknown keys are ignored.
+        let old = text.replace("\"wall_ns\":", "\"spmv_format\":\"csr\",\"wall_ns\":");
+        assert_ne!(old, text);
+        assert_eq!(parse_report(&old).expect("old dump reparses"), report);
         let md = render_md(&report);
         assert!(md.contains("PIPE-PsCG"));
         assert!(md.contains("| spmv | 40 |"));
@@ -849,7 +837,7 @@ mod tests {
 
     #[test]
     fn models_price_the_spmv_and_pc_from_the_meta() {
-        let models = models_for(MethodKind::Pcg, 1, SpmvFormat::Csr, 1000, 6400, 1.0, 24.0);
+        let models = models_for(MethodKind::Pcg, 1, 1000, 6400, 1.0, 24.0);
         let spmv = models.iter().find(|m| m.kind == SpanKind::Spmv).unwrap();
         assert_eq!(spmv.flops_per_call, 2.0 * 6400.0);
         assert_eq!(spmv.bytes_per_call, 12.0 * 6400.0 + 16.0 * 1000.0);
@@ -870,7 +858,7 @@ mod tests {
         // they were recorded under 8 spans (the fused pass and the x
         // update) or 76 (a span per window) must not change the work.
         let (method, s, rows) = (MethodKind::PipePscg, 3, 1000);
-        let models = models_for(method, s, SpmvFormat::Csr, rows, 6400, 1.0, 24.0);
+        let models = models_for(method, s, rows, 6400, 1.0, 24.0);
         let spans_of = |count: usize| SpanSet {
             records: (0..count)
                 .map(|i| SpanRecord {
@@ -924,8 +912,8 @@ mod tests {
 
     #[test]
     fn model_bytes_per_nnz_matches_the_cost_model() {
-        let v = spmv_model_bytes_per_nnz(SpmvFormat::Csr, 6400.0, 1000.0);
+        let v = spmv_model_bytes_per_nnz(6400.0, 1000.0);
         assert!((v - (12.0 + 16.0 * 1000.0 / 6400.0)).abs() < 1e-12);
-        assert_eq!(spmv_model_bytes_per_nnz(SpmvFormat::Csr, 0.0, 10.0), 0.0);
+        assert_eq!(spmv_model_bytes_per_nnz(0.0, 10.0), 0.0);
     }
 }

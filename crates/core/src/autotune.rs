@@ -120,11 +120,6 @@ pub struct KernelTuning {
     pub spmv_chunk_nnz: usize,
     /// Rows per Gram/update chunk.
     pub gram_chunk_rows: usize,
-    /// SpMV storage format / kernel variant (DESIGN.md §12). Every value
-    /// is bitwise-deterministic across thread counts; they differ only in
-    /// memory traffic and instruction-level parallelism, so the tune sweep
-    /// (`kernelbench tune`) picks the winner empirically per matrix.
-    pub format: pscg_sparse::SpmvFormat,
 }
 
 impl KernelTuning {
@@ -147,9 +142,6 @@ impl KernelTuning {
             threads,
             spmv_chunk_nnz,
             gram_chunk_rows,
-            // Format choice is empirical, not modelled: honour the
-            // environment (`PSCG_SPMV_FORMAT`) / tune-sweep selection.
-            format: pscg_sparse::spmv_format(),
         }
     }
 
@@ -159,7 +151,6 @@ impl KernelTuning {
             threads: pscg_par::global_threads(),
             spmv_chunk_nnz: pscg_par::knobs::spmv_chunk_nnz(),
             gram_chunk_rows: pscg_par::knobs::gram_chunk_rows(),
-            format: pscg_sparse::spmv_format(),
         }
     }
 
@@ -170,7 +161,6 @@ impl KernelTuning {
         pscg_par::set_global_threads(self.threads);
         pscg_par::knobs::set_spmv_chunk_nnz(self.spmv_chunk_nnz);
         pscg_par::knobs::set_gram_chunk_rows(self.gram_chunk_rows);
-        pscg_sparse::set_spmv_format(self.format);
     }
 }
 

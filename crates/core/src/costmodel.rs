@@ -154,27 +154,12 @@ pub fn kernel_times(
     (g, pc, spmv)
 }
 
-/// Modelled SpMV memory traffic for one storage format (DESIGN.md §12).
-/// CSR moves 12 B per stored entry (value + `u32` column index) plus
-/// 16 B of pointer/vector traffic per row, as does SELL-C-σ under this
-/// coarse model (the permutation and length arrays replace the row
-/// pointer). The symmetric format stores
-/// only the upper triangle — half the entry traffic — at the price of a
-/// second streamed pass over `y`.
-pub fn spmv_model_bytes(format: pscg_sparse::SpmvFormat, nnz: f64, rows: f64) -> f64 {
-    let (per_nnz, per_row) = spmv_model_rates(format);
-    per_nnz * nnz + per_row * rows
-}
-
-/// The `(bytes/nnz, bytes/row)` coefficients behind [`spmv_model_bytes`],
-/// exposed so the observatory tier (perf-report, kernelbench) can report
-/// the model alongside measured traffic without re-deriving it.
-pub fn spmv_model_rates(format: pscg_sparse::SpmvFormat) -> (f64, f64) {
-    use pscg_sparse::SpmvFormat as F;
-    match format {
-        F::Csr | F::SellCSigma => (12.0, 16.0),
-        F::SymCsr => (6.0, 24.0),
-    }
+/// Modelled SpMV memory traffic (DESIGN.md §12): 12 B per stored entry
+/// (value + `u32` column index) plus 16 B of pointer/vector traffic per row.
+/// The `format` parameter is kept for `benchmark/src/measure.rs`; remove in
+/// the next benchmark-only PR.
+pub fn spmv_model_bytes(_format: pscg_sparse::SpmvFormat, nnz: f64, rows: f64) -> f64 {
+    12.0 * nnz + 16.0 * rows
 }
 
 /// The smallest rank count (among `candidates`) at which `G` exceeds

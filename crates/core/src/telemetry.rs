@@ -47,9 +47,9 @@ pub(crate) fn begin<C: Context>(method: &'static str, ctx: &C, opts: &SolveOptio
         return false;
     }
     let (nrows, nnz) = (ctx.nrows(), ctx.matrix_nnz());
-    let fmt = pscg_sparse::spmv_format();
     let spmv_model_bytes_per_nnz = if nnz > 0 {
-        crate::costmodel::spmv_model_bytes(fmt, nnz as f64, nrows as f64) / nnz as f64
+        crate::costmodel::spmv_model_bytes(pscg_sparse::spmv_format(), nnz as f64, nrows as f64)
+            / nnz as f64
     } else {
         0.0
     };
@@ -64,7 +64,6 @@ pub(crate) fn begin<C: Context>(method: &'static str, ctx: &C, opts: &SolveOptio
             stagnation: None,
             nrows,
             nnz,
-            spmv_format: fmt.as_str(),
             spmv_model_bytes_per_nnz,
             pc_flops_per_row,
             pc_bytes_per_row,

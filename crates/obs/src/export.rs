@@ -156,11 +156,9 @@ impl MetricsSink for JsonlSink {
         }
         let _ = write!(
             out,
-            ",\"nrows\":{},\"nnz\":{},\"spmv_format\":",
+            ",\"nrows\":{},\"nnz\":{},\"spmv_model_bytes_per_nnz\":",
             meta.nrows, meta.nnz
         );
-        push_jstr(out, meta.spmv_format);
-        out.push_str(",\"spmv_model_bytes_per_nnz\":");
         push_jnum(out, meta.spmv_model_bytes_per_nnz);
         out.push_str(",\"pc_flops_per_row\":");
         push_jnum(out, meta.pc_flops_per_row);
@@ -525,7 +523,6 @@ pub fn validate_metrics_jsonl(text: &str) -> Result<JsonlCheck, String> {
                     "threads",
                     "nrows",
                     "nnz",
-                    "spmv_format",
                     "spmv_model_bytes_per_nnz",
                 ] {
                     if doc.get(key).is_none() {
@@ -647,7 +644,6 @@ mod tests {
             }),
             nrows: 512,
             nnz: 3392,
-            spmv_format: "sym-csr",
             spmv_model_bytes_per_nnz: 9.62,
             pc_flops_per_row: 1.0,
             pc_bytes_per_row: 24.0,
@@ -817,10 +813,6 @@ mod tests {
         assert_eq!(
             doc.get("method").and_then(Json::as_str),
             Some("PIPE-PsCG·κ 😀\u{7}")
-        );
-        assert_eq!(
-            doc.get("spmv_format").and_then(Json::as_str),
-            Some("sym-csr")
         );
         assert_eq!(doc.get("nnz").and_then(Json::as_f64), Some(3392.0));
     }

@@ -130,12 +130,10 @@ pub fn dump(reason: &str) -> Option<String> {
 
 fn write_fields(out: &mut String, s: &FlightState, meta: &SolveMeta) -> std::fmt::Result {
     use std::fmt::Write as _;
-    write!(out, ",\"s\":{},\"spmv_format\":", meta.s)?;
-    push_jstr(out, meta.spmv_format);
     write!(
         out,
-        ",\"nrows\":{},\"nnz\":{},\"capacity\":{},\"iters\":[",
-        meta.nrows, meta.nnz, s.capacity
+        ",\"s\":{},\"nrows\":{},\"nnz\":{},\"capacity\":{},\"iters\":[",
+        meta.s, meta.nrows, meta.nnz, s.capacity
     )?;
     for (i, rec) in s.iters.iter().enumerate() {
         if i > 0 {
@@ -320,7 +318,6 @@ mod tests {
             stagnation: None,
             nrows: 512,
             nnz: 3392,
-            spmv_format: "csr",
             spmv_model_bytes_per_nnz: 14.4,
             pc_flops_per_row: 1.0,
             pc_bytes_per_row: 24.0,

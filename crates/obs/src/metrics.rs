@@ -105,11 +105,8 @@ pub struct SolveMeta {
     pub nrows: usize,
     /// Matrix non-zeros (0 when unknown).
     pub nnz: usize,
-    /// Active SpMV storage format (`SpmvFormat::as_str` spelling) — makes
-    /// traces captured under `PSCG_SPMV_FORMAT` self-describing.
-    pub spmv_format: &'static str,
-    /// Modelled SpMV traffic in bytes per non-zero for that format on this
-    /// matrix (`costmodel::spmv_model_bytes / nnz`; 0 when unknown).
+    /// Modelled SpMV traffic in bytes per non-zero on this matrix
+    /// (`costmodel::spmv_model_bytes / nnz`; 0 when unknown).
     pub spmv_model_bytes_per_nnz: f64,
     /// Preconditioner FLOPs per row from its declared `ApplyCost`.
     pub pc_flops_per_row: f64,
@@ -543,7 +540,6 @@ mod tests {
             stagnation: None,
             nrows: 512,
             nnz: 3392,
-            spmv_format: "csr",
             spmv_model_bytes_per_nnz: 14.4,
             pc_flops_per_row: 1.0,
             pc_bytes_per_row: 24.0,

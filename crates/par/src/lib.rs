@@ -383,17 +383,9 @@ pub mod knobs {
     pub const DEFAULT_SPMV_CHUNK_NNZ: usize = 1 << 16;
     /// Default rows per Gram/update chunk (`PSCG_GRAM_CHUNK_ROWS` overrides).
     pub const DEFAULT_GRAM_CHUNK_ROWS: usize = 4096;
-    /// Default SELL-C-σ sorting-window rows (`PSCG_SELL_SIGMA` overrides).
-    pub const DEFAULT_SELL_SIGMA: usize = 4096;
-    /// Default *stored* nnz per symmetric-SpMV chunk (`PSCG_SYM_CHUNK_NNZ`
-    /// overrides). Deliberately large: below it the symmetric kernel takes
-    /// its serial in-place path and needs no scatter-slot scratch.
-    pub const DEFAULT_SYM_CHUNK_NNZ: usize = 1 << 27;
 
     static SPMV_CHUNK_NNZ: AtomicUsize = AtomicUsize::new(0);
     static GRAM_CHUNK_ROWS: AtomicUsize = AtomicUsize::new(0);
-    static SELL_SIGMA: AtomicUsize = AtomicUsize::new(0);
-    static SYM_CHUNK_NNZ: AtomicUsize = AtomicUsize::new(0);
 
     fn get(cell: &AtomicUsize, env: &str, default: usize) -> usize {
         let v = cell.load(Ordering::Relaxed);
@@ -438,34 +430,6 @@ pub mod knobs {
     /// count.
     pub fn set_gram_chunk_rows(rows: usize) {
         GRAM_CHUNK_ROWS.store(rows.max(1), Ordering::Relaxed);
-    }
-
-    /// Rows per SELL-C-σ sorting window (σ). Rows are sorted by descending
-    /// length *within* each window of σ consecutive rows; row placement —
-    /// and therefore padding and the permutation — is a function of the
-    /// matrix structure and this knob only.
-    pub fn sell_sigma() -> usize {
-        get(&SELL_SIGMA, "PSCG_SELL_SIGMA", DEFAULT_SELL_SIGMA)
-    }
-
-    /// Overrides [`sell_sigma`] (0 is clamped to 1). `CsrMatrix` caches its
-    /// SELL representation on first use, so set this before the first
-    /// SELL-format SpMV (or call `reset_par_rows`).
-    pub fn set_sell_sigma(rows: usize) {
-        SELL_SIGMA.store(rows.max(1), Ordering::Relaxed);
-    }
-
-    /// Target *stored* (upper + diagonal) nnz per chunk of the symmetric
-    /// SpMV. Below one full chunk the kernel runs its serial in-place
-    /// scatter; above, the deterministic two-phase scatter-slot reduction.
-    pub fn sym_chunk_nnz() -> usize {
-        get(&SYM_CHUNK_NNZ, "PSCG_SYM_CHUNK_NNZ", DEFAULT_SYM_CHUNK_NNZ)
-    }
-
-    /// Overrides [`sym_chunk_nnz`] (0 is clamped to 1). Same caching caveat
-    /// as [`set_sell_sigma`].
-    pub fn set_sym_chunk_nnz(nnz: usize) {
-        SYM_CHUNK_NNZ.store(nnz.max(1), Ordering::Relaxed);
     }
 }
 
@@ -814,38 +778,6 @@ impl<'a, T> DisjointMut<'a, T> {
         // slice; the caller contract above excludes a live `&mut` view of
         // any of it.
         unsafe { std::slice::from_raw_parts(self.ptr.add(lo), hi - lo) }
-    }
-
-    /// Storage address of the wrapped slice — the same buffer identity
-    /// [`sync_trace`] events and `BufId` interning use. Scatter kernels
-    /// pair this with [`sync_trace::record`] to log their per-element
-    /// writes themselves (see [`DisjointMut::element`]).
-    #[inline]
-    pub fn addr(&self) -> u64 {
-        self.ptr as u64
-    }
-
-    /// A single element `&mut`, **without** trace recording.
-    ///
-    /// Scatter kernels (SELL-C-σ's permuted output, the symmetric SpMV's
-    /// slot buffer) write statically-disjoint but non-contiguous element
-    /// sets, so [`DisjointMut::range`] would either over-claim (false race
-    /// reports) or cost one trace call per element even when recording is
-    /// off. Callers of this accessor must log their writes via
-    /// [`sync_trace::record`] + [`DisjointMut::addr`] when
-    /// [`sync_trace::is_enabled`] — exactly one `BufWrite` per written
-    /// element range — to keep the race detector's view complete.
-    ///
-    /// # Safety
-    /// No two live references (from this or [`DisjointMut::range`]) may
-    /// target the same index; each index goes to at most one concurrent job.
-    #[allow(clippy::mut_from_ref)]
-    #[inline]
-    pub unsafe fn element(&self, i: usize) -> &mut T {
-        debug_assert!(i < self.len);
-        // SAFETY: `i < len` is in bounds; exclusivity is the caller
-        // contract above.
-        unsafe { &mut *self.ptr.add(i) }
     }
 }
 

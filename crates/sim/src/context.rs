@@ -920,9 +920,7 @@ impl Context for SimCtx<'_> {
     }
 
     fn spmv(&mut self, x: &[f64], y: &mut [f64]) {
-        // The span arg carries the active format's code, so traces are
-        // self-describing about which kernel body ran.
-        let _sp = obs::span_arg(SpanKind::Spmv, pscg_sparse::spmv_format().to_code() as u64);
+        let _sp = obs::span(SpanKind::Spmv);
         self.a.spmv(x, y);
         self.inject_data(FaultSite::Spmv, y);
         self.counters.spmv += 1;
@@ -941,7 +939,7 @@ impl Context for SimCtx<'_> {
         // The constituent products below call `a.spmv` directly (no trait
         // dispatch), so this is the only span recorded — no nested Spmv
         // spans that would double-count overlap credit.
-        let _sp = obs::span_arg(SpanKind::Mpk, pscg_sparse::spmv_format().to_code() as u64);
+        let _sp = obs::span(SpanKind::Mpk);
         for j in from + 1..=to {
             {
                 let (src, dst) = pow.col_pair_mut(j - 1, j);

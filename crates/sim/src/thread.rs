@@ -363,7 +363,7 @@ impl Context for RankCtx<'_, '_> {
     }
 
     fn spmv(&mut self, x: &[f64], y: &mut [f64]) {
-        let _sp = obs::span_arg(SpanKind::Spmv, pscg_sparse::spmv_format().to_code() as u64);
+        let _sp = obs::span(SpanKind::Spmv);
         assert_eq!(x.len(), self.vec_len());
         assert_eq!(y.len(), self.vec_len());
         // Halo exchange: push our values that neighbours need, pull ghosts.

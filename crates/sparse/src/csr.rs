@@ -5,9 +5,6 @@ use std::sync::OnceLock;
 use pscg_par::{DisjointMut, Pool};
 
 use crate::error::SparseError;
-use crate::format::{spmv_format, SpmvFormat};
-use crate::sell::SellMatrix;
-use crate::symcsr::SymCsrMatrix;
 
 /// A sparse matrix in compressed sparse row format.
 ///
@@ -17,15 +14,10 @@ use crate::symcsr::SymCsrMatrix;
 /// `ncols <= u32::MAX`, and column indices within each row are strictly
 /// increasing and `< ncols`.
 ///
-/// Column indices are `u32` — the one index type of every format here, so
-/// the kernel streams 12 B per stored entry (8 B value + 4 B index).
-///
-/// The SpMV entry points dispatch on the process-wide
-/// [`crate::format::spmv_format`] knob; alternative representations
-/// (SELL-C-σ, symmetric CSR) are derived lazily and cached. All formats
-/// produce bitwise-identical results (see [`crate::sell`] and
-/// [`crate::symcsr`] for the respective arguments).
-#[derive(Debug)]
+/// Column indices are `u32`, so the kernel streams 12 B per stored entry
+/// (8 B value + 4 B index). This is the one storage format: every SpMV entry
+/// point runs the same blocked kernel over these arrays.
+#[derive(Debug, Clone)]
 pub struct CsrMatrix {
     nrows: usize,
     ncols: usize,
@@ -35,33 +27,11 @@ pub struct CsrMatrix {
     /// nnz-balanced row boundaries for the parallel SpMV, built lazily from
     /// the structure (never the values, so `vals_mut` cannot stale it).
     par_rows: OnceLock<Vec<usize>>,
-    /// Cached SELL-C-σ representation (`None` inside = conversion not
-    /// applicable). Value-derived: invalidated by `vals_mut`/`scale`.
-    sell: OnceLock<Option<SellMatrix>>,
-    /// Cached symmetric representation (`None` inside = matrix is not
-    /// exactly symmetric). Value-derived: invalidated by
-    /// `vals_mut`/`scale`.
-    sym: OnceLock<Option<SymCsrMatrix>>,
-}
-
-impl Clone for CsrMatrix {
-    fn clone(&self) -> Self {
-        // Derived caches are not cloned: they are cheap to rebuild relative
-        // to their footprint, and `SymCsrMatrix` owns scratch state.
-        CsrMatrix::assemble(
-            self.nrows,
-            self.ncols,
-            self.row_ptr.clone(),
-            self.col_idx.clone(),
-            self.vals.clone(),
-        )
-    }
 }
 
 impl PartialEq for CsrMatrix {
     fn eq(&self, other: &Self) -> bool {
-        // The cached partition/representations are derived state, not
-        // identity.
+        // The cached row partition is derived state, not identity.
         self.nrows == other.nrows
             && self.ncols == other.ncols
             && self.row_ptr == other.row_ptr
@@ -131,7 +101,7 @@ fn nnz_balanced_rows(row_ptr: &[usize], chunk_nnz: usize) -> Vec<usize> {
 }
 
 impl CsrMatrix {
-    /// Internal constructor: wraps validated arrays with empty caches.
+    /// Internal constructor: wraps validated arrays with no row partition yet.
     fn assemble(
         nrows: usize,
         ncols: usize,
@@ -146,8 +116,6 @@ impl CsrMatrix {
             col_idx,
             vals,
             par_rows: OnceLock::new(),
-            sell: OnceLock::new(),
-            sym: OnceLock::new(),
         }
     }
 
@@ -267,13 +235,10 @@ impl CsrMatrix {
         &self.vals
     }
 
-    /// Mutable values array (structure stays fixed). Drops the cached
-    /// SELL/symmetric representations — they embed values, unlike the
-    /// structure-only row partition.
+    /// Mutable values array (structure stays fixed). Nothing is derived
+    /// from the values, so there is no cached state to invalidate.
     #[inline]
     pub fn vals_mut(&mut self) -> &mut [f64] {
-        self.sell = OnceLock::new();
-        self.sym = OnceLock::new();
         &mut self.vals
     }
 
@@ -314,35 +279,15 @@ impl CsrMatrix {
             .get_or_init(|| nnz_balanced_rows(&self.row_ptr, pscg_par::knobs::spmv_chunk_nnz()))
     }
 
-    /// Drops the cached row partition *and* the cached SELL/symmetric
-    /// representations so the next SpMV rebuilds them — needed after
-    /// changing any [`pscg_par::knobs`] chunking knob (the tuner does).
+    /// Drops the cached row partition so the next SpMV rebuilds it — needed
+    /// after changing [`pscg_par::knobs::spmv_chunk_nnz`] (the tuner does).
     pub fn reset_par_rows(&mut self) {
         self.par_rows = OnceLock::new();
-        self.sell = OnceLock::new();
-        self.sym = OnceLock::new();
-    }
-
-    /// The cached SELL-C-σ representation, built on first use (`None` when
-    /// the matrix cannot be converted, e.g. indices past `u32`).
-    pub fn sell_cache(&self) -> Option<&SellMatrix> {
-        self.sell
-            .get_or_init(|| SellMatrix::from_csr(self).ok())
-            .as_ref()
-    }
-
-    /// The cached symmetric representation, built on first use (`None` when
-    /// the matrix is not exactly symmetric — the SpMV dispatch then falls
-    /// back to plain CSR).
-    pub fn sym_cache(&self) -> Option<&SymCsrMatrix> {
-        self.sym
-            .get_or_init(|| SymCsrMatrix::try_from_csr(self).ok())
-            .as_ref()
     }
 
     /// Rows `[row_lo, row_hi)` of `y = A x`, one accumulator chain per row
     /// from `0.0` over ascending columns: the bitwise reference of every
-    /// kernel and format, and the `< BLOCK_ROWS` tail of [`Self::spmv_rows_serial`].
+    /// kernel test, and the `< BLOCK_ROWS` tail of [`Self::spmv_rows_serial`].
     fn spmv_rows_scalar(&self, row_lo: usize, row_hi: usize, x: &[f64], y: &mut [f64]) {
         for (out, r) in y.iter_mut().zip(row_lo..row_hi) {
             let lo = self.row_ptr[r];
@@ -432,10 +377,7 @@ impl CsrMatrix {
     /// The hot loop of every method in the paper: row chunks of the cached
     /// nnz-balanced partition run on the global thread pool, each keeping
     /// the row accumulation in a register and streaming `col_idx`/`vals`
-    /// once. Bitwise identical to the serial product at any thread count —
-    /// and in any [`crate::format::spmv_format`] (the knob this entry point
-    /// dispatches on): every format preserves each row's ascending-column
-    /// accumulation chain exactly.
+    /// once. Bitwise identical to the serial product at any thread count.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         self.spmv_with(&pscg_par::global(), x, y)
     }
@@ -444,22 +386,6 @@ impl CsrMatrix {
     pub fn spmv_with(&self, pool: &Pool, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "spmv: x length mismatch");
         assert_eq!(y.len(), self.nrows, "spmv: y length mismatch");
-        match spmv_format() {
-            SpmvFormat::SellCSigma => {
-                if let Some(s) = self.sell_cache() {
-                    return s.spmv_with(pool, x, y);
-                }
-                // Conversion not applicable (rows past u32): plain CSR.
-            }
-            SpmvFormat::SymCsr => {
-                if let Some(s) = self.sym_cache() {
-                    return s.spmv_with(pool, x, y);
-                }
-                // Not exactly symmetric: plain CSR (results are bitwise
-                // identical either way; only traffic differs).
-            }
-            SpmvFormat::Csr => {}
-        }
         // The serial/parallel decision depends only on the shape, never on
         // the pool width: a 1-lane pool takes the exact same path (inline)
         // with the exact same allocations, so traced runs — whose BufId
@@ -489,9 +415,7 @@ impl CsrMatrix {
 
     /// [`CsrMatrix::spmv_rows`] on an explicit pool. The row window is
     /// re-chunked at the same nnz target, so the result stays bitwise equal
-    /// to the serial kernel regardless of window or thread count. Always
-    /// the CSR kernel: the SELL/symmetric representations cover the whole
-    /// matrix, not a window (and never change results).
+    /// to the serial kernel regardless of window or thread count.
     pub fn spmv_rows_with(
         &self,
         pool: &Pool,
@@ -679,44 +603,11 @@ impl CsrMatrix {
         hi
     }
 
-    /// Scales all values by `s`.
+    /// Scales all values by `s` (the structure-only row partition stays
+    /// valid).
     pub fn scale(&mut self, s: f64) {
-        // Value-derived caches go stale (the structure-only row partition
-        // does not).
-        self.sell = OnceLock::new();
-        self.sym = OnceLock::new();
         for v in &mut self.vals {
             *v *= s;
-        }
-    }
-
-    /// Modelled memory traffic of one SpMV in format `fmt`, in bytes —
-    /// matrix streams (values + indices + row metadata) plus one
-    /// write-allocate pass over `y` and one nominal read of `x` (gather
-    /// locality is not modelled). Used by `kernelbench` to report
-    /// effective bytes/nnz per format.
-    pub fn spmv_traffic_bytes(&self, fmt: SpmvFormat) -> f64 {
-        let nnz = self.nnz() as f64;
-        let rows = self.nrows as f64;
-        let vecs = 16.0 * rows; // x read + y written, 8 B each
-        match fmt {
-            // 8 B value + 4 B u32 column per entry + 8 B row_ptr per row.
-            SpmvFormat::Csr => 12.0 * nnz + 8.0 * rows + vecs,
-            // 8 B value + 4 B u32 column per *padded* entry + 8 B
-            // perm/len metadata per row.
-            SpmvFormat::SellCSigma => match self.sell_cache() {
-                Some(s) => 12.0 * s.padded_nnz() as f64 + 8.0 * rows + vecs,
-                None => self.spmv_traffic_bytes(SpmvFormat::Csr),
-            },
-            // Each stored upper entry (12 B) is read once and serves both
-            // mirror halves; diagonal 8 B + row_ptr 8 B per row.
-            SpmvFormat::SymCsr => match self.sym_cache() {
-                Some(s) => {
-                    let upper = (s.stored_nnz() - s.nrows()) as f64;
-                    12.0 * upper + 16.0 * rows + vecs
-                }
-                None => self.spmv_traffic_bytes(SpmvFormat::Csr),
-            },
         }
     }
 }
@@ -930,46 +821,19 @@ mod tests {
     }
 
     #[test]
-    fn format_dispatch_is_bitwise_invariant() {
-        use crate::format::{set_spmv_format, SpmvFormat};
-        use crate::stencil::{poisson3d_7pt, Grid3};
-        let a = poisson3d_7pt(Grid3::cube(6), None);
-        let x: Vec<f64> = (0..a.nrows()).map(|i| (i as f64 * 0.29).sin()).collect();
-        let mut want = vec![0.0; a.nrows()];
-        a.spmv_rows_scalar(0, a.nrows(), &x, &mut want);
-        let before = crate::format::spmv_format();
-        for fmt in SpmvFormat::ALL {
-            set_spmv_format(fmt);
-            let mut y = vec![f64::NAN; a.nrows()];
-            a.spmv(&x, &mut y);
-            assert_eq!(y, want, "format {fmt} diverges");
-            let mut part = vec![f64::NAN; a.nrows() - 9];
-            a.spmv_rows(4, a.nrows() - 5, &x, &mut part);
-            assert_eq!(part, want[4..a.nrows() - 5], "format {fmt} window diverges");
-            assert!(a.spmv_traffic_bytes(fmt) > 0.0);
-        }
-        set_spmv_format(before);
-    }
-
-    #[test]
-    fn value_mutation_invalidates_derived_formats() {
-        use crate::format::{set_spmv_format, SpmvFormat};
+    fn value_mutation_is_seen_by_the_next_spmv() {
         let mut a = small();
-        let before = crate::format::spmv_format();
-        set_spmv_format(SpmvFormat::SellCSigma);
         let x = [1.0, 2.0, 3.0];
         let mut y = [0.0; 3];
-        a.spmv(&x, &mut y); // populates the SELL cache
+        a.spmv(&x, &mut y);
         a.vals_mut()[0] = 10.0;
         a.spmv(&x, &mut y);
-        assert_eq!(y[0], 10.0 * 1.0 - 1.0 * 2.0, "stale SELL cache served");
-        set_spmv_format(SpmvFormat::SymCsr);
+        assert_eq!(y[0], 10.0 * 1.0 - 1.0 * 2.0);
         let mut b = small();
-        b.spmv(&x, &mut y); // populates the symmetric cache
+        b.spmv(&x, &mut y);
         b.scale(2.0);
         b.spmv(&x, &mut y);
-        assert_eq!(y[0], 2.0 * (4.0 - 2.0), "stale symmetric cache served");
-        set_spmv_format(before);
+        assert_eq!(y[0], 2.0 * (4.0 - 2.0));
     }
 
     #[test]

@@ -33,13 +33,6 @@ pub enum SparseError {
         /// Index of the zero pivot.
         pivot: usize,
     },
-    /// The operation requires an exactly (bitwise) symmetric matrix.
-    NotSymmetric {
-        /// Row of the first entry without a bitwise-equal mirror.
-        row: usize,
-        /// Column of the first entry without a bitwise-equal mirror.
-        col: usize,
-    },
     /// A caller-supplied argument is outside its valid range.
     InvalidArgument(String),
     /// Matrix Market parsing failed.
@@ -64,12 +57,6 @@ impl fmt::Display for SparseError {
             SparseError::DimensionMismatch(msg) => write!(f, "dimension mismatch: {msg}"),
             SparseError::SingularMatrix { pivot } => {
                 write!(f, "singular matrix: zero pivot at index {pivot}")
-            }
-            SparseError::NotSymmetric { row, col } => {
-                write!(
-                    f,
-                    "matrix is not symmetric: entry ({row}, {col}) has no bitwise-equal mirror"
-                )
             }
             SparseError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
             SparseError::ParseError(msg) => write!(f, "matrix market parse error: {msg}"),

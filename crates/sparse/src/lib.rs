@@ -5,11 +5,9 @@
 //!
 //! * [`CsrMatrix`] / [`CooMatrix`] — compressed sparse row storage with the
 //!   construction, validation and SPD-diagnostic utilities the solvers rely
-//!   on, plus a cache-friendly sparse matrix–vector product.
-//! * [`format`] / [`sell`] / [`symcsr`] — the kernel-format tier: a
-//!   process-wide SpMV format knob dispatching between the CSR (`u32`
-//!   indices, four rows in lockstep), SELL-C-σ and symmetric-CSR kernel
-//!   bodies, all bitwise identical per row at any thread count.
+//!   on, plus the one SpMV kernel (`u32` column indices, four rows in
+//!   lockstep, stream-ahead prefetch), bitwise the scalar row loop at any
+//!   thread count.
 //! * [`MultiVector`] — a column-major `N × s` block of vectors with the block
 //!   linear-combination kernels (`X += Y·B`, `X = Y − Z·α`, Gram products)
 //!   that realise the paper's recurrence LCs.
@@ -34,27 +32,41 @@ pub mod coo;
 pub mod csr;
 pub mod dense;
 pub mod error;
-pub mod format;
 pub mod io;
 pub mod kernels;
 pub mod multivec;
 pub mod op;
 pub mod partition;
 pub mod rng;
-pub mod sell;
 pub mod stencil;
 pub mod suitesparse;
-pub mod symcsr;
 
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::SparseError;
-pub use format::{set_spmv_format, spmv_format, SpmvFormat};
 pub use multivec::MultiVector;
 pub use op::{ApplyCost, IdentityOp, Operator};
 pub use partition::RowBlockPartition;
 pub use rng::SplitMix64;
-pub use sell::SellMatrix;
 pub use stencil::Grid3;
-pub use symcsr::SymCsrMatrix;
+
+/// The matrix storage format. Kept for `benchmark/src/measure.rs`; remove in
+/// the next benchmark-only PR.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpmvFormat {
+    /// CSR with `u32` column indices — the only format.
+    Csr,
+}
+
+impl std::fmt::Display for SpmvFormat {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("csr")
+    }
+}
+
+/// Always [`SpmvFormat::Csr`]. Kept for `benchmark/src/measure.rs`; remove in
+/// the next benchmark-only PR.
+pub const fn spmv_format() -> SpmvFormat {
+    SpmvFormat::Csr
+}
