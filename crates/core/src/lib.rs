@@ -38,6 +38,7 @@
 
 pub mod autotune;
 pub mod costmodel;
+pub(crate) mod driver;
 pub mod methods;
 pub mod resilience;
 pub mod solver;

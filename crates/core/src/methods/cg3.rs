@@ -20,7 +20,8 @@
 
 use pscg_sim::Context;
 
-use crate::methods::{global_ref_norm, init_residual};
+use crate::driver::{Driver, Scalars};
+use crate::resilience::gamma_breakdown;
 use crate::solver::{SolveOptions, SolveResult, StopReason};
 
 /// Solves `M⁻¹A x = M⁻¹b` with three-term-recurrence CG.
@@ -30,10 +31,7 @@ pub fn solve<C: Context>(
     x0: Option<&[f64]>,
     opts: &SolveOptions,
 ) -> SolveResult {
-    let bnorm = global_ref_norm(ctx, b, opts);
-    let threshold = opts.threshold(bnorm);
-    let mut resil = crate::resilience::ResilienceState::new(opts, bnorm);
-    let (mut x, mut r) = init_residual(ctx, b, x0);
+    let (mut drv, mut r) = Driver::begin(ctx, "CG3", b, x0, opts, None);
 
     let mut u = ctx.alloc_vec();
     let mut au = ctx.alloc_vec();
@@ -42,11 +40,8 @@ pub fn solve<C: Context>(
     let mut x_next = ctx.alloc_vec();
     let mut r_next = ctx.alloc_vec();
 
-    let mut history: Vec<f64> = Vec::new();
-    let mut iters = 0usize;
     let mut rho = 1.0f64;
     let mut gamma_mu_prev = 0.0f64;
-    let stop;
 
     loop {
         ctx.pc_apply(&r, &mut u);
@@ -56,62 +51,34 @@ pub fn solve<C: Context>(
         let lnu = ctx.local_dot(&u, &au);
         let lrr = ctx.local_dot(&r, &r);
         let luu = ctx.local_dot(&u, &u);
-        let red = ctx.allreduce(&[lmu, lnu, lrr, luu]);
+        let Some(red) = drv.reduce(ctx, &[lmu, lnu, lrr, luu]) else {
+            break;
+        };
         let (mu, nu, rr, uu) = (red[0], red[1], red[2], red[3]);
 
-        // A dead peer poisons the reduction: the check must precede the
-        // relres computation, whose `.max(0.0)` would clamp a NaN norm
-        // into a fake zero-residual convergence. The supervisor owns the
-        // buddy rebuild.
-        if ctx.rank_failure().is_some() {
-            resil.rollback(ctx, &mut x);
-            stop = StopReason::RankFailed;
-            break;
-        }
-        let relres = crate::methods::relres_from_sq(opts.norm.pick_sq(rr, uu, mu), bnorm);
-        history.push(relres);
-        ctx.note_residual(relres);
-        crate::telemetry::note_iter(ctx, iters, relres, [rr, uu, mu], &[], &[], mu);
-        if relres * bnorm < threshold {
-            stop = StopReason::Converged;
-            break;
-        }
-        if iters >= opts.max_iters {
-            stop = StopReason::MaxIterations;
-            break;
-        }
+        let scalars = Scalars(&[], &[], mu);
         // μ = (r, u) is the γ-like scalar here: finite and non-negative on
         // an SPD system.
-        if nu <= 0.0 || nu.is_nan() || !relres.is_finite() || crate::resilience::gamma_breakdown(mu)
-        {
-            resil.rollback(ctx, &mut x);
-            stop = StopReason::Breakdown;
+        let broke = |_| nu <= 0.0 || nu.is_nan() || gamma_breakdown(mu);
+        if drv.check(ctx, [rr, uu, mu], scalars, broke).is_some() {
             break;
-        }
-        match resil.on_check(ctx, b, &x, relres) {
-            crate::resilience::CheckVerdict::Continue => {}
-            verdict => {
-                resil.rollback(ctx, &mut x);
-                stop = verdict.stop();
-                break;
-            }
         }
 
         let gamma = mu / nu;
-        let rho_next = if iters == 0 {
+        let rho_next = if drv.iterations() == 0 {
             1.0
         } else {
             let denom = 1.0 - (gamma * mu) / (gamma_mu_prev * rho);
             // pscg-lint: allow(float-eq, exact-zero division guard; any nonzero denom is usable)
             if denom == 0.0 || !denom.is_finite() {
-                resil.rollback(ctx, &mut x);
-                stop = StopReason::Breakdown;
+                drv.fail(ctx, StopReason::Breakdown);
                 break;
             }
             1.0 / denom
         };
 
         // x_{j+1} = ρ(x_j + γ u_j) + (1-ρ) x_{j-1}, same for r.
+        let x = &mut drv.x;
         for i in 0..x.len() {
             x_next[i] = rho_next * (x[i] + gamma * u[i]) + (1.0 - rho_next) * x_prev[i];
             r_next[i] = rho_next * (r[i] - gamma * au[i]) + (1.0 - rho_next) * r_prev[i];
@@ -119,25 +86,16 @@ pub fn solve<C: Context>(
         // 6 flops per row for each of the two fused updates.
         ctx.charge_local(pscg_sim::LocalKind::Vma, 12.0, 96.0);
 
-        std::mem::swap(&mut x_prev, &mut x);
-        std::mem::swap(&mut x, &mut x_next);
+        std::mem::swap(&mut x_prev, x);
+        std::mem::swap(x, &mut x_next);
         std::mem::swap(&mut r_prev, &mut r);
         std::mem::swap(&mut r, &mut r_next);
 
         gamma_mu_prev = gamma * mu;
         rho = rho_next;
-        iters += 1;
+        drv.advance(1);
     }
-
-    SolveResult {
-        x,
-        iterations: iters,
-        stop,
-        final_relres: history.last().copied().unwrap_or(f64::NAN),
-        history,
-        counters: *ctx.counters(),
-        method: "CG3",
-    }
+    drv.finish(ctx)
 }
 
 #[cfg(test)]

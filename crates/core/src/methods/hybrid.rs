@@ -29,11 +29,8 @@ pub fn solve<C: Context>(
     opts: &SolveOptions,
 ) -> SolveResult {
     let cfg = PipeConfig {
-        method: "PIPE-PsCG",
-        s: opts.s,
-        replace_every: None,
         stagnation: Some(STAGNATION),
-        extra_flops_per_row: 0.0,
+        ..PipeConfig::pipe_pscg(opts.s)
     };
     let phase1 = pipe_pscg::solve_with(ctx, b, x0, opts, cfg);
 

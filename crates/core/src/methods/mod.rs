@@ -19,6 +19,17 @@
 //! [`pscg_sim::Context`], so it runs identically on the serial engine, the
 //! tracing engine behind the figures, and the thread-backed distributed
 //! engine.
+//!
+//! A method body is its kernels and scalars only. The stop policy —
+//! reference norm, threshold, trust checks, history, rollback, the
+//! `SolveResult` — lives once in `crate::driver::Driver`; the loops reach it
+//! through `begin` / `reduce` / `wait` / `check` / `fail` / `finish` and never
+//! see the threshold. The paper's chain "Alg. 3 is Alg. 2 preconditioned,
+//! Alg. 6–7 is Alg. 5 preconditioned" is one loop each: [`pscg`] holds the
+//! blocking s-step loop ([`scg`] is its unpreconditioned entry point),
+//! [`pipe_pscg`] the pipelined one ([`pipe_scg`], [`pipecg3`],
+//! [`pipecg_oati`] and [`hybrid`]'s first phase are entry points), and the
+//! single-vs-dual power list is `crate::sstep::PowerBasis`.
 
 pub mod cg3;
 pub mod hybrid;
@@ -63,6 +74,22 @@ pub enum MethodKind {
 }
 
 impl MethodKind {
+    /// Every method, in the order of the module table (the paper's methods,
+    /// the hybrid, then the CG3 extension baseline).
+    pub const ALL: [MethodKind; 11] = [
+        MethodKind::Pcg,
+        MethodKind::Pipecg,
+        MethodKind::Pipecg3,
+        MethodKind::PipecgOati,
+        MethodKind::Scg,
+        MethodKind::ScgSspmv,
+        MethodKind::Pscg,
+        MethodKind::PipeScg,
+        MethodKind::PipePscg,
+        MethodKind::Hybrid,
+        MethodKind::Cg3,
+    ];
+
     /// Paper spelling of the method name.
     pub fn name(self) -> &'static str {
         match self {
@@ -165,24 +192,9 @@ pub(crate) fn init_residual<C: Context>(
     (x, r)
 }
 
-/// Relative residual from a reduced squared norm, preserving a non-finite
-/// input as NaN. The bare `.max(0.0).sqrt()` idiom (which exists to clamp
-/// tiny negative rounding) would silently map a *poisoned* NaN reduction
-/// to a zero residual — instant fake convergence. A NaN result instead
-/// fails every `< threshold` comparison and trips the methods'
-/// `!relres.is_finite()` breakdown guards.
-#[inline]
-pub(crate) fn relres_from_sq(norm_sq: f64, bnorm: f64) -> f64 {
-    if norm_sq.is_finite() {
-        norm_sq.max(0.0).sqrt() / bnorm
-    } else {
-        f64::NAN
-    }
-}
-
-/// Norm from a reduced squared norm, preserving a non-finite input as NaN.
-/// Same contract as [`relres_from_sq`] without the reference division:
-/// clamps only tiny negative rounding, never a poisoned reduction.
+/// Norm from a reduced squared norm, preserving a non-finite input as NaN:
+/// `.max(0.0)` clamps only tiny negative rounding, never a poisoned
+/// reduction (which would otherwise read as a zero norm).
 #[inline]
 pub(crate) fn norm_from_sq(norm_sq: f64) -> f64 {
     if norm_sq.is_finite() {

@@ -7,8 +7,10 @@
 
 use pscg_sim::Context;
 
-use crate::methods::{global_ref_norm, init_residual};
+use crate::driver::{Driver, Scalars};
+use crate::resilience::gamma_breakdown;
 use crate::solver::{NormType, SolveOptions, SolveResult, StopReason};
+use crate::telemetry::norms_from_selected;
 
 /// Solves `A x = b` with PCG. `x0` defaults to zero.
 pub fn solve<C: Context>(
@@ -17,10 +19,7 @@ pub fn solve<C: Context>(
     x0: Option<&[f64]>,
     opts: &SolveOptions,
 ) -> SolveResult {
-    let bnorm = global_ref_norm(ctx, b, opts);
-    let threshold = opts.threshold(bnorm);
-    let mut resil = crate::resilience::ResilienceState::new(opts, bnorm);
-    let (mut x, mut r) = init_residual(ctx, b, x0);
+    let (mut drv, mut r) = Driver::begin(ctx, "PCG", b, x0, opts, None);
 
     let mut u = ctx.alloc_vec();
     ctx.pc_apply(&r, &mut u);
@@ -30,122 +29,68 @@ pub fn solve<C: Context>(
     let mut gamma = ctx.allreduce(&[lg])[0];
     let ln = norm_dot(ctx, opts.norm, &r, &u, gamma);
     let norm0_sq = ctx.allreduce(&[ln])[0];
-
-    let mut history = vec![crate::methods::relres_from_sq(norm0_sq, bnorm)];
-    ctx.note_residual(history[0]);
-    crate::telemetry::note_iter(
-        ctx,
-        0,
-        history[0],
-        crate::telemetry::norms_from_selected(opts.norm, norm0_sq, gamma),
-        &[],
-        &[],
-        gamma,
-    );
-
-    let result = |ctx: &mut C, x: Vec<f64>, iters, stop, history: Vec<f64>| SolveResult {
-        x,
-        iterations: iters,
-        stop,
-        // History is never empty (the initial residual is pushed above),
-        // but a NaN fallback beats an abort mid-solve if that changes.
-        final_relres: history.last().copied().unwrap_or(f64::NAN),
-        history,
-        counters: *ctx.counters(),
-        method: "PCG",
-    };
-
-    // The failure check must precede any convergence interpretation: a
-    // poisoned NaN norm would be clamped to zero by `.max(0.0)` and read
-    // as instant convergence.
-    if ctx.rank_failure().is_some() {
-        return result(ctx, x, 0, StopReason::RankFailed, history);
-    }
-    if crate::methods::norm_from_sq(norm0_sq) < threshold {
-        return result(ctx, x, 0, StopReason::Converged, history);
+    let setup = Scalars(&[], &[], gamma);
+    let norms = norms_from_selected(opts.norm, norm0_sq, gamma);
+    if drv.check_initial(ctx, norms, setup).is_some() {
+        return drv.finish(ctx);
     }
 
     let mut p = ctx.alloc_vec();
     let mut s = ctx.alloc_vec();
     let mut gamma_old = 0.0;
 
-    for i in 0..opts.max_iters {
+    loop {
         // Lines 4–9: β and the direction update p = u + β p.
-        let beta = if i > 0 { gamma / gamma_old } else { 0.0 };
+        let beta = if drv.iterations() > 0 {
+            gamma / gamma_old
+        } else {
+            0.0
+        };
         ctx.aypx(beta, &u, &mut p);
         // Line 10: s = A p.
         ctx.spmv(&p, &mut s);
         // Lines 11–12: δ = (s, p) — blocking — and α = γ/δ.
         let ld = ctx.local_dot(&s, &p);
-        let delta = ctx.allreduce(&[ld])[0];
-        // A dead peer poisons the reduction: report the typed failure, not
-        // a breakdown — the supervisor owns buddy reconstruction.
-        if ctx.rank_failure().is_some() {
-            resil.rollback(ctx, &mut x);
-            return result(ctx, x, i, StopReason::RankFailed, history);
-        }
+        let Some(red) = drv.reduce(ctx, &[ld]) else {
+            break;
+        };
+        let delta = red[0];
         if delta <= 0.0 || delta.is_nan() {
-            resil.rollback(ctx, &mut x);
-            return result(ctx, x, i, StopReason::Breakdown, history);
+            drv.fail(ctx, StopReason::Breakdown);
+            break;
         }
         let alpha = gamma / delta;
         // Lines 13–15.
-        ctx.axpy(alpha, &p, &mut x);
+        ctx.axpy(alpha, &p, &mut drv.x);
         ctx.axpy(-alpha, &s, &mut r);
         ctx.pc_apply(&r, &mut u);
+        drv.advance(1);
         // Line 16: γ — blocking.
         let lg = ctx.local_dot(&u, &r);
-        let gamma_new = ctx.allreduce(&[lg])[0];
-        // Line 17: the norm — blocking (the third allreduce of Table I).
-        let ln = norm_dot(ctx, opts.norm, &r, &u, gamma_new);
-        let norm_sq = ctx.allreduce(&[ln])[0];
-
-        // Checked before `.max(0.0)` can clamp a poisoned NaN norm into a
-        // fake zero-residual convergence.
-        if ctx.rank_failure().is_some() {
-            resil.rollback(ctx, &mut x);
-            return result(ctx, x, i + 1, StopReason::RankFailed, history);
-        }
-        let relres = crate::methods::relres_from_sq(norm_sq, bnorm);
-        history.push(relres);
-        ctx.note_residual(relres);
-        crate::telemetry::note_iter(
-            ctx,
-            i + 1,
-            relres,
-            crate::telemetry::norms_from_selected(opts.norm, norm_sq, gamma_new),
-            &[alpha],
-            &[beta],
-            gamma_new,
-        );
-
         gamma_old = gamma;
-        gamma = gamma_new;
-
-        if relres * bnorm < threshold {
-            return result(ctx, x, i + 1, StopReason::Converged, history);
-        }
-        // γ = (r, u) must stay finite and non-negative on an SPD system;
-        // a non-finite residual means corrupted data reached the norm.
-        if !relres.is_finite() || crate::resilience::gamma_breakdown(gamma) {
-            resil.rollback(ctx, &mut x);
-            return result(ctx, x, i + 1, StopReason::Breakdown, history);
-        }
-        match resil.on_check(ctx, b, &x, relres) {
-            crate::resilience::CheckVerdict::Continue => {}
-            verdict => {
-                resil.rollback(ctx, &mut x);
-                return result(ctx, x, i + 1, verdict.stop(), history);
-            }
+        gamma = ctx.allreduce(&[lg])[0];
+        // Line 17: the norm — blocking (the third allreduce of Table I). A
+        // peer that died during either reduction is caught here.
+        let ln = norm_dot(ctx, opts.norm, &r, &u, gamma);
+        let Some(red) = drv.reduce(ctx, &[ln]) else {
+            break;
+        };
+        let step = Scalars(&[alpha], &[beta], gamma);
+        // γ = (r, u) must stay finite and non-negative on an SPD system.
+        let norms = norms_from_selected(opts.norm, red[0], gamma);
+        if drv
+            .check(ctx, norms, step, |_| gamma_breakdown(gamma))
+            .is_some()
+        {
+            break;
         }
     }
-    let iters = opts.max_iters;
-    result(ctx, x, iters, StopReason::MaxIterations, history)
+    drv.finish(ctx)
 }
 
-/// Local dot for the selected norm; `gamma_local_known` reuses (u, r) when
-/// the natural norm is requested (still reduced separately, mirroring the
-/// paper's three allreduces).
+/// Local dot for the selected norm; the natural norm reuses the reduced
+/// `gamma = (u, r)` (still reduced separately, mirroring the paper's three
+/// allreduces).
 fn norm_dot<C: Context>(ctx: &mut C, norm: NormType, r: &[f64], u: &[f64], gamma: f64) -> f64 {
     match norm {
         NormType::Unpreconditioned => ctx.local_dot(r, r),

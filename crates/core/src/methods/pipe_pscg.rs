@@ -20,14 +20,12 @@
 //! The depth-2 methods (PIPECG-OATI, PIPECG3) and the hybrid driver reuse
 //! this core through [`PipeConfig`].
 
-use pscg_obs::{StagnationConfig, StagnationDetector};
-use pscg_sim::{Context, RecurrenceStep};
-use pscg_sparse::multivec::RecurrenceFamily;
-use pscg_sparse::MultiVector;
+use pscg_obs::StagnationConfig;
+use pscg_sim::Context;
 
-use crate::methods::{global_ref_norm, init_residual};
+use crate::driver::Driver;
 use crate::solver::{SolveOptions, SolveResult, StopReason};
-use crate::sstep::{estimate_sigma, GramPacket, GramPacketBuf, ScalarWork};
+use crate::sstep::{diverged, Chain, DirBlocks, GramPacket, GramPacketBuf, PowerBasis, ScalarWork};
 
 /// Stagnation rule: stop with [`StopReason::Stagnated`] when the relative
 /// residual improved by less than `min_ratio` over the last `window`
@@ -87,225 +85,108 @@ pub fn solve_with<C: Context>(
     opts: &SolveOptions,
     cfg: PipeConfig,
 ) -> SolveResult {
+    solve_chain(ctx, b, x0, opts, cfg, Chain::Preconditioned)
+}
+
+/// The pipelined s-step loop over the basis `chain` generates: Algorithms
+/// 6–7, or Algorithm 5 when the chain carries no preconditioner (one power
+/// list and one recurrence family instead of two).
+pub(crate) fn solve_chain<C: Context>(
+    ctx: &mut C,
+    b: &[f64],
+    x0: Option<&[f64]>,
+    opts: &SolveOptions,
+    cfg: PipeConfig,
+    chain: Chain,
+) -> SolveResult {
     // A basis deeper than the problem dimension is rank deficient by
     // construction; clamp (matters only for toy systems).
     let s = cfg.s.min(ctx.nrows().max(1));
     assert!(s >= 1, "{} requires s >= 1", cfg.method);
-    let bnorm = global_ref_norm(ctx, b, opts);
-    let threshold = opts.threshold(bnorm);
-    let mut resil = crate::resilience::ResilienceState::new(opts, bnorm);
-    let (mut x, r) = init_residual(ctx, b, x0);
+    let (mut drv, r) = Driver::begin(ctx, cfg.method, b, x0, opts, cfg.stagnation);
 
-    // Dual power lists, j = 0..=2s; the recurrence phase advances them
-    // in place.
-    let mut rpow = ctx.alloc_multi(2 * s + 1);
-    let mut upow = ctx.alloc_multi(2 * s + 1);
+    // Alg. 6 lines 7–10: r₀, u₀ and the first s powers of the list(s), of
+    // 2s + 1 columns; the recurrence phase advances them in place.
+    let mut basis = PowerBasis::new(ctx, chain, &r, s, 2 * s);
+    let dual = chain == Chain::Preconditioned;
 
-    // Lines 7–10: r₀, u₀ and the first s powers of both lists, built with
-    // the σ-scaled operator (σ from the first chain link; see sstep docs).
-    rpow.col_mut(0).copy_from_slice(&r);
-    ctx.pc_apply(rpow.col(0), upow.col_mut(0));
-    ctx.spmv(upow.col(0), rpow.col_mut(1));
-    let sigma = estimate_sigma(ctx, rpow.col(0), rpow.col(1));
-    ctx.scale_v(sigma, rpow.col_mut(1));
-    ctx.pc_apply(rpow.col(1), upow.col_mut(1));
-    extend_powers(ctx, &mut rpow, &mut upow, 1, s, sigma);
+    // Direction blocks (paper's P/Q, and P2/Q2) with their A-power families
+    // (AQm[j] = (M⁻¹A)^{j+1}·udirs, AQ2m[j] = (AM⁻¹)^{j+1}·rdirs), and the
+    // scratch of a replacement pass, which only the preconditioned methods
+    // take.
+    let mut blocks: Vec<DirBlocks> = (0..if dual { 2 } else { 1 })
+        .map(|_| DirBlocks::new(ctx, s))
+        .collect();
+    let mut ax = if dual { ctx.alloc_vec() } else { Vec::new() };
 
-    // Line 11–12: local dot products and the non-blocking allreduce.
-    let mut udirs = ctx.alloc_multi(s);
+    // Lines 11–12: local dot products and the non-blocking allreduce.
     let mut packet = GramPacketBuf::new(s);
-    ctx.local_gram_packet(&upow, &rpow, &udirs, &mut packet);
+    basis.gram_packet(ctx, &blocks[0].dirs, &mut packet);
     let mut handle = ctx.iallreduce(packet.flat());
-    // Line 13: deep powers overlapped with it — s PCs + s SPMVs.
-    extend_powers(ctx, &mut rpow, &mut upow, s, 2 * s, sigma);
+    // Line 13: deep powers overlapped with it — s SPMVs (and s PCs).
+    basis.extend(ctx, s, 2 * s);
 
-    // Direction blocks (paper's P/Q and P2/Q2) and the A-power families
-    // (AQm[j] = (M⁻¹A)^{j+1}·udirs, AQ2m[j] = (AM⁻¹)^{j+1}·rdirs).
-    let mut rdirs = ctx.alloc_multi(s);
-    let mut uapow: Vec<MultiVector> = (0..=s).map(|_| ctx.alloc_multi(s)).collect();
-    let mut rapow: Vec<MultiVector> = (0..=s).map(|_| ctx.alloc_multi(s)).collect();
-
-    let mut ax = ctx.alloc_vec();
     let mut scalar = ScalarWork::new(s);
-    let mut history: Vec<f64> = Vec::new();
-    let mut iters = 0usize;
     let mut outer = 0usize;
-    let mut stagnation = cfg.stagnation.map(StagnationDetector::new);
-    if let Some(st) = cfg.stagnation {
-        crate::telemetry::set_stagnation(ctx, st);
-    }
-    let stop;
 
-    loop {
-        // Line 35 wait (posted one overlap window ago).
-        let red = match crate::resilience::wait_reduction(
-            ctx,
-            handle,
-            packet.flat(),
-            opts.resilience.reduce_retries,
-        ) {
-            Ok(v) => v,
-            Err(e) => {
-                // Timeout -> CommFault; rank death -> RankFailed (the
-                // handle is already retired; the supervisor owns the
-                // buddy rebuild).
-                resil.rollback(ctx, &mut x);
-                stop = crate::resilience::comm_stop(&e);
-                break;
-            }
-        };
+    // Line 35 wait (posted one overlap window ago).
+    while let Some(red) = drv.wait(ctx, handle, packet.flat()) {
         let pkt = GramPacket::view(s, &red);
         let norms = pkt.norms();
-
-        let relres =
-            crate::methods::relres_from_sq(opts.norm.pick_sq(norms[0], norms[1], norms[2]), bnorm);
-        history.push(relres);
-        ctx.note_residual(relres);
-        crate::telemetry::note_iter(
-            ctx,
-            iters,
-            relres,
-            norms,
-            &scalar.alpha,
-            scalar.b.data(),
-            f64::NAN,
-        );
-        if relres * bnorm < threshold {
-            stop = StopReason::Converged;
+        if drv
+            .check(ctx, norms, scalar.report(), diverged(norms))
+            .is_some()
+        {
             break;
-        }
-        if iters >= opts.max_iters {
-            stop = StopReason::MaxIterations;
-            break;
-        }
-        if !relres.is_finite() || relres > 1e8 || norms[2] < 0.0 {
-            // The recurrences have left the basin of useful arithmetic
-            // (non-finite/diverged residual, or a negative (r, u) scalar on
-            // an SPD system); report breakdown instead of iterating on.
-            resil.rollback(ctx, &mut x);
-            stop = StopReason::Breakdown;
-            break;
-        }
-        match resil.on_check(ctx, b, &x, relres) {
-            crate::resilience::CheckVerdict::Continue => {}
-            verdict => {
-                resil.rollback(ctx, &mut x);
-                stop = verdict.stop();
-                break;
-            }
-        }
-        // Feeding the detector only here (not on the breaking checks above)
-        // matches the historical inline rule: any relres that ended the loop
-        // earlier never reached the stagnation test either.
-        if let Some(det) = stagnation.as_mut() {
-            if det.observe(relres) {
-                crate::telemetry::note_stagnation_fired(ctx);
-                stop = StopReason::Stagnated;
-                break;
-            }
         }
         // Line 15: Scalar Work.
         if scalar.step(ctx, &pkt).is_err() {
-            resil.rollback(ctx, &mut x);
-            stop = StopReason::Stagnated;
+            drv.fail(
+                ctx,
+                if dual {
+                    StopReason::Stagnated
+                } else {
+                    StopReason::Breakdown
+                },
+            );
             break;
         }
 
         // Lines 17–35 as one fused in-place pass over the rows: conjugate
-        // both direction blocks and all A-power blocks with the same
+        // the direction blocks and all A-power blocks with the same
         // β-matrix (fresh windows come from the *old* power lists), form
         // the fresh bases by recurrence only —
         // rpow[j] ← rpow[j] − AQ2m[j]·α, upow[j] ← upow[j] − AQm[j]·α —
-        // and their dot products; then advance x += Q (σα).
+        // and their dot products; then advance x += Q (σα). No SPMV.
         // The u-type directions live in the σ-scaled basis; the AQm/AQ2m
         // blocks carry the σ factor, so the basis recurrences consume the
         // raw α.
         let replace = cfg
             .replace_every
             .is_some_and(|k| outer > 0 && outer.is_multiple_of(k));
-        scalar.scale_alpha(sigma);
-        ctx.block_recurrence_step(
-            RecurrenceStep {
-                families: &mut [
-                    RecurrenceFamily {
-                        pow: &mut upow,
-                        dirs: &mut udirs,
-                        apow: &mut uapow,
-                    },
-                    RecurrenceFamily {
-                        pow: &mut rpow,
-                        dirs: &mut rdirs,
-                        apow: &mut rapow,
-                    },
-                ],
-                b: &scalar.b,
-                alpha: &scalar.alpha,
-                alpha_x: &scalar.alpha_x,
-                shift: !replace,
-                extra_vma_flops_per_row: cfg.extra_flops_per_row,
-                packet: &mut packet,
-            },
-            &mut x,
-        );
+        scalar.scale_alpha(basis.sigma);
+        let shape = (!replace, cfg.extra_flops_per_row);
+        basis.recurrence_step(ctx, &mut blocks, &scalar, shape, &mut packet, &mut drv.x);
 
         if replace {
             // Non-recurrence computation: recompute the residual, the
             // leading basis columns and their dot products explicitly
             // (extra, *unoverlapped* PCs and SPMVs — the price PIPECG-OATI
             // pays for repaying the rounding drift of the recurrences).
-            ctx.spmv(&x, &mut ax);
-            ctx.waxpy(rpow.col_mut(0), -1.0, &ax, b);
-            extend_powers(ctx, &mut rpow, &mut upow, 0, s, sigma);
-            ctx.local_gram_packet(&upow, &rpow, &udirs, &mut packet);
+            basis.restart(ctx, &drv.x, b, &mut ax, s);
+            basis.gram_packet(ctx, &blocks[0].dirs, &mut packet);
         }
 
         // Line 35: the dot products of the new bases, posted non-blocking.
         handle = ctx.iallreduce(packet.flat());
 
-        // Line 36: the deep powers — s PCs + s SPMVs — overlapped with the
-        // allreduce.
-        extend_powers(ctx, &mut rpow, &mut upow, s, 2 * s, sigma);
-        iters += s;
+        // Line 36: the deep powers — s SPMVs (and s PCs) — overlapped with
+        // the allreduce.
+        basis.extend(ctx, s, 2 * s);
+        drv.advance(s);
         outer += 1;
     }
-
-    SolveResult {
-        x,
-        iterations: iters,
-        stop,
-        final_relres: history.last().copied().unwrap_or(f64::NAN),
-        history,
-        counters: *ctx.counters(),
-        method: cfg.method,
-    }
-}
-
-/// Extends the dual σ-scaled chains: `rpow[j+1] = σ·A·upow[j]` and
-/// `upow[j+1] = M⁻¹ rpow[j+1]` for `j = from..to` — `to − from` PCs and
-/// SPMVs (plus the boundary PC when starting from a fresh residual). With
-/// `from = s, to = 2s` this is the paper's overlap window of s PCs and
-/// s SPMVs.
-fn extend_powers<C: Context>(
-    ctx: &mut C,
-    rpow: &mut MultiVector,
-    upow: &mut MultiVector,
-    from: usize,
-    to: usize,
-    sigma: f64,
-) {
-    if from == 0 {
-        // Boundary PC; at from = s, upow[s] already exists from the
-        // recurrence phase.
-        ctx.pc_apply(rpow.col(0), upow.col_mut(0));
-    }
-    for j in from..to {
-        ctx.spmv(upow.col(j), rpow.col_mut(j + 1));
-        // pscg-lint: allow(float-eq, exact identity-scaling skip; sigma is a set parameter, not computed)
-        if sigma != 1.0 {
-            ctx.scale_v(sigma, rpow.col_mut(j + 1));
-        }
-        ctx.pc_apply(rpow.col(j + 1), upow.col_mut(j + 1));
-    }
+    drv.finish(ctx)
 }
 
 #[cfg(test)]

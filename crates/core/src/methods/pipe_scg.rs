@@ -9,14 +9,16 @@
 //! power* products `A^{s+1}r … A^{2s}r` — whose results the dot products do
 //! **not** need. The allreduce is posted non-blocking before them and waited
 //! after them: one allreduce per s steps, fully overlapped with s SPMVs.
+//!
+//! The loop is [`pipe_pscg`]'s, run over an unpreconditioned chain: one power
+//! list and one recurrence family where Algorithms 6–7 carry two.
 
-use pscg_sim::{Context, RecurrenceStep};
-use pscg_sparse::multivec::RecurrenceFamily;
-use pscg_sparse::MultiVector;
+use pscg_sim::Context;
 
-use crate::methods::{global_ref_norm, init_residual};
+use crate::driver::Driver;
+use crate::methods::pipe_pscg::{self, PipeConfig};
 use crate::solver::{SolveOptions, SolveResult, StopReason};
-use crate::sstep::{estimate_sigma, extend_scaled_powers, GramPacket, GramPacketBuf, ScalarWork};
+use crate::sstep::{Chain, DirBlocks, GramPacket, GramPacketBuf, PowerBasis, ScalarWork};
 
 /// Solves `A x = b` with PIPE-sCG. `x0` defaults to zero.
 pub fn solve<C: Context>(
@@ -25,7 +27,11 @@ pub fn solve<C: Context>(
     x0: Option<&[f64]>,
     opts: &SolveOptions,
 ) -> SolveResult {
-    solve_inner(ctx, b, x0, opts, false)
+    let cfg = PipeConfig {
+        method: "PIPE-sCG",
+        ..PipeConfig::pipe_pscg(opts.s)
+    };
+    pipe_pscg::solve_chain(ctx, b, x0, opts, cfg, Chain::Plain)
 }
 
 /// PIPE-sCG with the matrix-powers kernel: the basis and deep powers are
@@ -40,188 +46,11 @@ pub fn solve_mpk<C: Context>(
     x0: Option<&[f64]>,
     opts: &SolveOptions,
 ) -> SolveResult {
-    solve_inner(ctx, b, x0, opts, true)
-}
-
-fn solve_inner<C: Context>(
-    ctx: &mut C,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    opts: &SolveOptions,
-    use_mpk: bool,
-) -> SolveResult {
-    let s = opts.s.min(ctx.nrows().max(1));
-    assert!(s >= 1, "PIPE-sCG requires s >= 1");
-    let bnorm = global_ref_norm(ctx, b, opts);
-    let threshold = opts.threshold(bnorm);
-    let mut resil = crate::resilience::ResilienceState::new(opts, bnorm);
-    let (mut x, r) = init_residual(ctx, b, x0);
-
-    // pow[j] = A^j r, j = 0..=2s; the recurrence phase advances it in place.
-    let mut pow = ctx.alloc_multi(2 * s + 1);
-    pow.col_mut(0).copy_from_slice(&r);
-    // Lines 6–7: the first s powers, built with the σ-scaled operator
-    // (σ from the first link; see sstep docs)...
-    {
-        let (src, dst) = pow.col_pair_mut(0, 1);
-        ctx.spmv(src, dst);
-    }
-    let sigma = estimate_sigma(ctx, pow.col(0), pow.col(1));
-    ctx.scale_v(sigma, pow.col_mut(1));
-    if use_mpk {
-        ctx.mpk(&mut pow, 1, s, sigma);
-    } else {
-        extend_scaled_powers(ctx, &mut pow, 1, s, sigma);
-    }
-    // Lines 8–9: ...the dot products and their non-blocking allreduce...
-    let mut dirs = ctx.alloc_multi(s);
-    let mut packet = GramPacketBuf::new(s);
-    ctx.local_gram_packet(&pow, &pow, &dirs, &mut packet);
-    let mut handle = ctx.iallreduce(packet.flat());
-    // Line 10: ...overlapped with the deep powers A^{s+1}r … A^{2s}r.
-    if use_mpk {
-        ctx.mpk(&mut pow, s, 2 * s, sigma);
-    } else {
-        extend_scaled_powers(ctx, &mut pow, s, 2 * s, sigma);
-    }
-
-    // Direction block and its A-power family AQm[j] = A^{j+1}·dirs.
-    let mut apow: Vec<MultiVector> = (0..=s).map(|_| ctx.alloc_multi(s)).collect();
-
-    let mut scalar = ScalarWork::new(s);
-    let mut history: Vec<f64> = Vec::new();
-    let mut iters = 0usize;
-    let stop;
-
-    loop {
-        // Wait on the allreduce posted one overlap window ago.
-        let red = match crate::resilience::wait_reduction(
-            ctx,
-            handle,
-            packet.flat(),
-            opts.resilience.reduce_retries,
-        ) {
-            Ok(v) => v,
-            Err(e) => {
-                // Timeout -> CommFault; rank death -> RankFailed (the
-                // handle is already retired; the supervisor owns the
-                // buddy rebuild).
-                resil.rollback(ctx, &mut x);
-                stop = crate::resilience::comm_stop(&e);
-                break;
-            }
-        };
-        let pkt = GramPacket::view(s, &red);
-        let norms = pkt.norms();
-
-        let relres =
-            crate::methods::relres_from_sq(opts.norm.pick_sq(norms[0], norms[1], norms[2]), bnorm);
-        history.push(relres);
-        ctx.note_residual(relres);
-        crate::telemetry::note_iter(
-            ctx,
-            iters,
-            relres,
-            norms,
-            &scalar.alpha,
-            scalar.b.data(),
-            f64::NAN,
-        );
-        if relres * bnorm < threshold {
-            stop = StopReason::Converged;
-            break;
-        }
-        if iters >= opts.max_iters {
-            stop = StopReason::MaxIterations;
-            break;
-        }
-        if !relres.is_finite() || relres > 1e8 || norms[2] < 0.0 {
-            // The recurrences have left the basin of useful arithmetic
-            // (non-finite/diverged residual, or a negative (r, u) scalar on
-            // an SPD system); report breakdown instead of iterating on.
-            resil.rollback(ctx, &mut x);
-            stop = StopReason::Breakdown;
-            break;
-        }
-        match resil.on_check(ctx, b, &x, relres) {
-            crate::resilience::CheckVerdict::Continue => {}
-            verdict => {
-                resil.rollback(ctx, &mut x);
-                stop = verdict.stop();
-                break;
-            }
-        }
-        // Line 12: Scalar Work.
-        if scalar.step(ctx, &pkt).is_err() {
-            resil.rollback(ctx, &mut x);
-            stop = StopReason::Breakdown;
-            break;
-        }
-
-        // Lines 14–27 as one fused in-place pass over the rows: conjugate
-        // the direction block and every AQm[j] against the previous family
-        // with the same β-matrix (AQm[j]'s fresh window is
-        // {A^{j+1}r, …, A^{j+s}r} = pow[j+1 .. j+s]), form the new basis by
-        // recurrence only — A^j r_{i+1} = A^j r_i − AQm[j]·α for j = 0..=s —
-        // and its dot products; then advance x += Q (σα). No SPMV. The
-        // directions live in the σ-scaled basis; the AQm blocks carry the
-        // σ factor, so the basis recurrences consume the raw α.
-        scalar.scale_alpha(sigma);
-        recurrence_step(
-            ctx,
-            &scalar,
-            RecurrenceFamily {
-                pow: &mut pow,
-                dirs: &mut dirs,
-                apow: &mut apow,
-            },
-            &mut packet,
-            &mut x,
-        );
-
-        // Line 27: the dot products of the new basis, posted non-blocking.
-        handle = ctx.iallreduce(packet.flat());
-
-        // Line 28: the s deep powers, overlapped with the allreduce.
-        if use_mpk {
-            ctx.mpk(&mut pow, s, 2 * s, sigma);
-        } else {
-            extend_scaled_powers(ctx, &mut pow, s, 2 * s, sigma);
-        }
-        iters += s;
-    }
-
-    SolveResult {
-        x,
-        iterations: iters,
-        stop,
-        final_relres: history.last().copied().unwrap_or(f64::NAN),
-        history,
-        counters: *ctx.counters(),
-        method: if use_mpk { "PIPE-sCG+MPK" } else { "PIPE-sCG" },
-    }
-}
-
-/// The single-family recurrence phase (always shifting, no extra charge).
-fn recurrence_step<C: Context>(
-    ctx: &mut C,
-    scalar: &ScalarWork,
-    family: RecurrenceFamily<'_>,
-    packet: &mut GramPacketBuf,
-    x: &mut [f64],
-) {
-    ctx.block_recurrence_step(
-        RecurrenceStep {
-            families: &mut [family],
-            b: &scalar.b,
-            alpha: &scalar.alpha,
-            alpha_x: &scalar.alpha_x,
-            shift: true,
-            extra_vma_flops_per_row: 0.0,
-            packet,
-        },
-        x,
-    );
+    let cfg = PipeConfig {
+        method: "PIPE-sCG+MPK",
+        ..PipeConfig::pipe_pscg(opts.s)
+    };
+    pipe_pscg::solve_chain(ctx, b, x0, opts, cfg, Chain::Mpk)
 }
 
 /// Deliberately mis-scheduled PIPE-sCG variants.
@@ -260,7 +89,9 @@ pub mod broken {
     }
 
     /// PIPE-sCG with the scheduling bug selected by `mode`. Converges to the
-    /// same solution as [`super::solve`] on one rank.
+    /// same solution as [`super::solve`] on one rank. Its own copy of the
+    /// pipelined loop, because the bugs live in how it posts and waits; it
+    /// keeps the plain `ctx.wait` (no retry, no rank-failure test).
     pub fn solve<C: Context>(
         ctx: &mut C,
         b: &[f64],
@@ -270,35 +101,20 @@ pub mod broken {
     ) -> SolveResult {
         let s = opts.s.min(ctx.nrows().max(1));
         assert!(s >= 1, "PIPE-sCG requires s >= 1");
-        let bnorm = global_ref_norm(ctx, b, opts);
-        let threshold = opts.threshold(bnorm);
-        let (mut x, r) = init_residual(ctx, b, x0);
-
-        let mut pow = ctx.alloc_multi(2 * s + 1);
-        pow.col_mut(0).copy_from_slice(&r);
-        {
-            let (src, dst) = pow.col_pair_mut(0, 1);
-            ctx.spmv(src, dst);
-        }
-        let sigma = estimate_sigma(ctx, pow.col(0), pow.col(1));
-        ctx.scale_v(sigma, pow.col_mut(1));
-        extend_scaled_powers(ctx, &mut pow, 1, s, sigma);
-
-        let mut dirs = ctx.alloc_multi(s);
+        let (mut drv, r) = Driver::begin(ctx, "PIPE-sCG(broken)", b, x0, opts, None);
+        let mut basis = PowerBasis::new(ctx, Chain::Plain, &r, s, 2 * s);
+        let mut blocks = [DirBlocks::new(ctx, s)];
         let mut packet = GramPacketBuf::new(s);
-        ctx.local_gram_packet(&pow, &pow, &dirs, &mut packet);
+        basis.gram_packet(ctx, &blocks[0].dirs, &mut packet);
         let mut pending = post(ctx, packet.flat(), mode);
-        if mode == BrokenMode::WritesDotInput {
-            ctx.scale_v(1.0, pow.col_mut(0));
-        }
-        extend_scaled_powers(ctx, &mut pow, s, 2 * s, sigma);
-
-        let mut apow: Vec<MultiVector> = (0..=s).map(|_| ctx.alloc_multi(s)).collect();
-
+        let overlap = |ctx: &mut C, basis: &mut PowerBasis| {
+            if mode == BrokenMode::WritesDotInput {
+                ctx.scale_v(1.0, basis.residual_mut());
+            }
+            basis.extend(ctx, s, 2 * s);
+        };
+        overlap(ctx, &mut basis);
         let mut scalar = ScalarWork::new(s);
-        let mut history: Vec<f64> = Vec::new();
-        let mut iters = 0usize;
-        let stop;
 
         loop {
             let red = match pending {
@@ -314,61 +130,27 @@ pub mod broken {
                 }
             };
             let pkt = GramPacket::view(s, &red);
-            let norms = pkt.norms();
-
-            let relres = crate::methods::relres_from_sq(
-                opts.norm.pick_sq(norms[0], norms[1], norms[2]),
-                bnorm,
-            );
-            history.push(relres);
-            ctx.note_residual(relres);
-            if relres * bnorm < threshold {
-                stop = StopReason::Converged;
-                break;
-            }
-            if iters >= opts.max_iters {
-                stop = StopReason::MaxIterations;
-                break;
-            }
-            if !relres.is_finite() || relres > 1e8 {
-                stop = StopReason::Breakdown;
+            let diverged = |relres| relres > 1e8;
+            if drv
+                .check(ctx, pkt.norms(), scalar.report(), diverged)
+                .is_some()
+            {
                 break;
             }
             if scalar.step(ctx, &pkt).is_err() {
-                stop = StopReason::Breakdown;
+                drv.fail(ctx, StopReason::Breakdown);
                 break;
             }
 
-            scalar.scale_alpha(sigma);
-            recurrence_step(
-                ctx,
-                &scalar,
-                RecurrenceFamily {
-                    pow: &mut pow,
-                    dirs: &mut dirs,
-                    apow: &mut apow,
-                },
-                &mut packet,
-                &mut x,
-            );
+            scalar.scale_alpha(basis.sigma);
+            let x = &mut drv.x;
+            basis.recurrence_step(ctx, &mut blocks, &scalar, (true, 0.0), &mut packet, x);
 
             pending = post(ctx, packet.flat(), mode);
-            if mode == BrokenMode::WritesDotInput {
-                ctx.scale_v(1.0, pow.col_mut(0));
-            }
-            extend_scaled_powers(ctx, &mut pow, s, 2 * s, sigma);
-            iters += s;
+            overlap(ctx, &mut basis);
+            drv.advance(s);
         }
-
-        SolveResult {
-            x,
-            iterations: iters,
-            stop,
-            final_relres: history.last().copied().unwrap_or(f64::NAN),
-            history,
-            counters: *ctx.counters(),
-            method: "PIPE-sCG(broken)",
-        }
+        drv.finish(ctx)
     }
 
     fn post<C: Context>(ctx: &mut C, vals: &[f64], mode: BrokenMode) -> PendingRed {

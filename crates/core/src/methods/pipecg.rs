@@ -8,7 +8,8 @@
 
 use pscg_sim::Context;
 
-use crate::methods::{global_ref_norm, init_residual};
+use crate::driver::{Driver, Scalars};
+use crate::resilience::gamma_breakdown;
 use crate::solver::{SolveOptions, SolveResult, StopReason};
 
 /// Solves `A x = b` with PIPECG. `x0` defaults to zero.
@@ -18,10 +19,7 @@ pub fn solve<C: Context>(
     x0: Option<&[f64]>,
     opts: &SolveOptions,
 ) -> SolveResult {
-    let bnorm = global_ref_norm(ctx, b, opts);
-    let threshold = opts.threshold(bnorm);
-    let mut resil = crate::resilience::ResilienceState::new(opts, bnorm);
-    let (mut x, mut r) = init_residual(ctx, b, x0);
+    let (mut drv, mut r) = Driver::begin(ctx, "PIPECG", b, x0, opts, None);
 
     // u = M⁻¹ r, w = A u.
     let mut u = ctx.alloc_vec();
@@ -36,11 +34,8 @@ pub fn solve<C: Context>(
     let mut s = ctx.alloc_vec();
     let mut p = ctx.alloc_vec();
 
-    let mut history: Vec<f64> = Vec::new();
     let mut gamma_old = 0.0;
     let mut alpha_old = 0.0;
-    let mut iters = 0usize;
-    let stop;
 
     loop {
         // γ = (r, u), δ = (w, u), plus both residual norms — one payload,
@@ -54,55 +49,21 @@ pub fn solve<C: Context>(
         // Overlapped work: m = M⁻¹ w, n = A m.
         ctx.pc_apply(&w, &mut m);
         ctx.spmv(&m, &mut n);
-        let red = match crate::resilience::wait_reduction(
-            ctx,
-            h,
-            &posted,
-            opts.resilience.reduce_retries,
-        ) {
-            Ok(v) => v,
-            Err(e) => {
-                // Timeout -> CommFault; rank death -> RankFailed (the
-                // handle is already retired; the supervisor owns the
-                // buddy rebuild).
-                resil.rollback(ctx, &mut x);
-                stop = crate::resilience::comm_stop(&e);
-                break;
-            }
+        let Some(red) = drv.wait(ctx, h, &posted) else {
+            break;
         };
         let (gamma, delta, rr, uu) = (red[0], red[1], red[2], red[3]);
 
-        let relres = crate::methods::relres_from_sq(opts.norm.pick_sq(rr, uu, gamma), bnorm);
-        history.push(relres);
-        ctx.note_residual(relres);
-        crate::telemetry::note_iter(ctx, iters, relres, [rr, uu, gamma], &[], &[], gamma);
-        if relres * bnorm < threshold {
-            stop = StopReason::Converged;
-            break;
-        }
-        if iters >= opts.max_iters {
-            stop = StopReason::MaxIterations;
-            break;
-        }
+        let scalars = Scalars(&[], &[], gamma);
         // γ = (r, u) must stay finite and non-negative on an SPD system.
-        if !relres.is_finite() || crate::resilience::gamma_breakdown(gamma) || !delta.is_finite() {
-            resil.rollback(ctx, &mut x);
-            stop = StopReason::Breakdown;
+        let broke = |_| gamma_breakdown(gamma) || !delta.is_finite();
+        if drv.check(ctx, [rr, uu, gamma], scalars, broke).is_some() {
             break;
-        }
-        match resil.on_check(ctx, b, &x, relres) {
-            crate::resilience::CheckVerdict::Continue => {}
-            verdict => {
-                resil.rollback(ctx, &mut x);
-                stop = verdict.stop();
-                break;
-            }
         }
 
-        let (beta, alpha) = if iters == 0 {
+        let (beta, alpha) = if drv.iterations() == 0 {
             if delta <= 0.0 {
-                resil.rollback(ctx, &mut x);
-                stop = StopReason::Breakdown;
+                drv.fail(ctx, StopReason::Breakdown);
                 break;
             }
             (0.0, gamma / delta)
@@ -111,8 +72,7 @@ pub fn solve<C: Context>(
             let denom = delta - beta * gamma / alpha_old;
             // pscg-lint: allow(float-eq, exact-zero division guard; any nonzero denom is usable)
             if denom == 0.0 || !denom.is_finite() {
-                resil.rollback(ctx, &mut x);
-                stop = StopReason::Breakdown;
+                drv.fail(ctx, StopReason::Breakdown);
                 break;
             }
             (beta, gamma / denom)
@@ -123,25 +83,16 @@ pub fn solve<C: Context>(
         ctx.aypx(beta, &m, &mut q);
         ctx.aypx(beta, &w, &mut s);
         ctx.aypx(beta, &u, &mut p);
-        ctx.axpy(alpha, &p, &mut x);
+        ctx.axpy(alpha, &p, &mut drv.x);
         ctx.axpy(-alpha, &s, &mut r);
         ctx.axpy(-alpha, &q, &mut u);
         ctx.axpy(-alpha, &z, &mut w);
 
         gamma_old = gamma;
         alpha_old = alpha;
-        iters += 1;
+        drv.advance(1);
     }
-
-    SolveResult {
-        x,
-        iterations: iters,
-        stop,
-        final_relres: history.last().copied().unwrap_or(f64::NAN),
-        history,
-        counters: *ctx.counters(),
-        method: "PIPECG",
-    }
+    drv.finish(ctx)
 }
 
 #[cfg(test)]

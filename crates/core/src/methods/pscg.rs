@@ -1,5 +1,5 @@
 //! Preconditioned s-step conjugate gradients — the paper's Algorithm 3
-//! (Chronopoulos & Gear \[7\]).
+//! (Chronopoulos & Gear \[7\]) — and, as its `M = I` case, Algorithm 2.
 //!
 //! One blocking allreduce per s-step iteration, **s+1** preconditioner
 //! applications and **s+1** SPMVs per iteration: the residual and the
@@ -10,9 +10,9 @@
 
 use pscg_sim::Context;
 
-use crate::methods::{global_ref_norm, init_residual};
+use crate::driver::Driver;
 use crate::solver::{SolveOptions, SolveResult, StopReason};
-use crate::sstep::{conjugate_window, estimate_sigma, GramPacket, GramPacketBuf, ScalarWork};
+use crate::sstep::{diverged, Chain, GramPacket, GramPacketBuf, PowerBasis, ScalarWork};
 
 /// Solves `M⁻¹A x = M⁻¹b` with PsCG. `x0` defaults to zero.
 pub fn solve<C: Context>(
@@ -21,142 +21,67 @@ pub fn solve<C: Context>(
     x0: Option<&[f64]>,
     opts: &SolveOptions,
 ) -> SolveResult {
+    solve_chain(ctx, b, x0, opts, "PsCG", Chain::Preconditioned)
+}
+
+/// The blocking s-step loop over the basis `chain` generates: Algorithm 3,
+/// or Algorithm 2 when the chain carries no preconditioner.
+pub(crate) fn solve_chain<C: Context>(
+    ctx: &mut C,
+    b: &[f64],
+    x0: Option<&[f64]>,
+    opts: &SolveOptions,
+    method: &'static str,
+    chain: Chain,
+) -> SolveResult {
     let s = opts.s.min(ctx.nrows().max(1));
-    assert!(s >= 1, "PsCG requires s >= 1");
-    let bnorm = global_ref_norm(ctx, b, opts);
-    let threshold = opts.threshold(bnorm);
-    let mut resil = crate::resilience::ResilienceState::new(opts, bnorm);
-    let (mut x, r) = init_residual(ctx, b, x0);
+    assert!(s >= 1, "{method} requires s >= 1");
+    let (mut drv, r) = Driver::begin(ctx, method, b, x0, opts, None);
 
-    // rpow[j] = (σAM⁻¹)^j r, upow[j] = M⁻¹ rpow[j], j = 0..=s; σ-scaled
-    // basis (see sstep docs), estimated from the first chain link.
-    let mut rpow = ctx.alloc_multi(s + 1);
-    let mut upow = ctx.alloc_multi(s + 1);
-    rpow.col_mut(0).copy_from_slice(&r);
-    ctx.pc_apply(rpow.col(0), upow.col_mut(0));
-    ctx.spmv(upow.col(0), rpow.col_mut(1));
-    let sigma = estimate_sigma(ctx, rpow.col(0), rpow.col(1));
-    ctx.scale_v(sigma, rpow.col_mut(1));
-    ctx.pc_apply(rpow.col(1), upow.col_mut(1));
-    build_basis(ctx, 1, s, &mut rpow, &mut upow, sigma);
+    // Powers 0..=s of the σ-scaled chain (Alg. 3 lines 3–6: s SPMVs, and
+    // s+1 PCs, after the residual).
+    let mut basis = PowerBasis::new(ctx, chain, &r, s, s);
 
-    let mut udirs = ctx.alloc_multi(s);
-    let mut udirs_next = ctx.alloc_multi(s);
+    let mut dirs = ctx.alloc_multi(s);
+    let mut dirs_next = ctx.alloc_multi(s);
     let mut ax = ctx.alloc_vec();
     let mut scalar = ScalarWork::new(s);
     let mut packet = GramPacketBuf::new(s);
-    let mut history: Vec<f64> = Vec::new();
-    let mut iters = 0usize;
-    let stop;
 
     loop {
         // Line 15 / 22: the 2s dot products in one blocking allreduce.
-        ctx.local_gram_packet(&upow, &rpow, &udirs, &mut packet);
-        let red = ctx.allreduce(packet.flat());
+        basis.gram_packet(ctx, &dirs, &mut packet);
+        let Some(red) = drv.reduce(ctx, packet.flat()) else {
+            break;
+        };
         let pkt = GramPacket::view(s, &red);
-        // A dead peer poisons the reduction: the check must precede the
-        // relres computation, whose `.max(0.0)` would clamp a NaN norm
-        // into a fake zero-residual convergence. The supervisor owns the
-        // buddy rebuild.
-        if ctx.rank_failure().is_some() {
-            resil.rollback(ctx, &mut x);
-            stop = StopReason::RankFailed;
-            break;
-        }
-
         let norms = pkt.norms();
-        let relres =
-            crate::methods::relres_from_sq(opts.norm.pick_sq(norms[0], norms[1], norms[2]), bnorm);
-        history.push(relres);
-        ctx.note_residual(relres);
-        crate::telemetry::note_iter(
-            ctx,
-            iters,
-            relres,
-            norms,
-            &scalar.alpha,
-            scalar.b.data(),
-            f64::NAN,
-        );
-        if relres * bnorm < threshold {
-            stop = StopReason::Converged;
+        if drv
+            .check(ctx, norms, scalar.report(), diverged(norms))
+            .is_some()
+        {
             break;
         }
-        if iters >= opts.max_iters {
-            stop = StopReason::MaxIterations;
-            break;
-        }
-        if !relres.is_finite() || relres > 1e8 || norms[2] < 0.0 {
-            // The recurrences have left the basin of useful arithmetic
-            // (non-finite/diverged residual, or a negative (r, u) scalar on
-            // an SPD system); report breakdown instead of iterating on.
-            resil.rollback(ctx, &mut x);
-            stop = StopReason::Breakdown;
-            break;
-        }
-        match resil.on_check(ctx, b, &x, relres) {
-            crate::resilience::CheckVerdict::Continue => {}
-            verdict => {
-                resil.rollback(ctx, &mut x);
-                stop = verdict.stop();
-                break;
-            }
-        }
-        // Line 8: Scalar Work.
+        // Line 8: Scalar Work (two s×s LU solves).
         if scalar.step(ctx, &pkt).is_err() {
-            resil.rollback(ctx, &mut x);
-            stop = StopReason::Breakdown;
+            drv.fail(ctx, StopReason::Breakdown);
             break;
         }
 
-        // Lines 10–11 / 17–18: conjugate directions, advance the solution.
-        conjugate_window(ctx, &mut udirs_next, &upow, 0, &udirs, &scalar.b);
-        std::mem::swap(&mut udirs, &mut udirs_next);
-        // σ-scaled basis: x advances by σ·α.
-        scalar.scale_alpha(sigma);
-        ctx.block_gemv_acc(&udirs, &scalar.alpha_x, &mut x);
+        // Lines 10–11 / 17–18: conjugate the u-type basis against the
+        // previous directions and advance the solution; the directions live
+        // in the σ-scaled basis, so x advances by σ·α.
+        ctx.block_combine(&mut dirs_next, basis.lists().0, 0, &dirs, &scalar.b);
+        std::mem::swap(&mut dirs, &mut dirs_next);
+        scalar.scale_alpha(basis.sigma);
+        ctx.block_gemv_acc(&dirs, &scalar.alpha_x, &mut drv.x);
 
-        // Lines 12–14 / 19–21: fresh residual and preconditioned basis —
-        // the s+1 PCs and s+1 SPMVs.
-        ctx.spmv(&x, &mut ax);
-        ctx.waxpy(rpow.col_mut(0), -1.0, &ax, b);
-        build_basis(ctx, 0, s, &mut rpow, &mut upow, sigma);
-        iters += s;
+        // Lines 12–14 / 19–21: fresh residual and basis — the s+1 SPMVs
+        // (and PCs).
+        basis.restart(ctx, &drv.x, b, &mut ax, s);
+        drv.advance(s);
     }
-
-    SolveResult {
-        x,
-        iterations: iters,
-        stop,
-        final_relres: history.last().copied().unwrap_or(f64::NAN),
-        history,
-        counters: *ctx.counters(),
-        method: "PsCG",
-    }
-}
-
-/// Extends the dual chains: `rpow[j+1] = σ·A·upow[j]`,
-/// `upow[j+1] = M⁻¹ rpow[j+1]` for `j = from..to` (plus the boundary PC
-/// when starting from a fresh residual).
-fn build_basis<C: Context>(
-    ctx: &mut C,
-    from: usize,
-    to: usize,
-    rpow: &mut pscg_sparse::MultiVector,
-    upow: &mut pscg_sparse::MultiVector,
-    sigma: f64,
-) {
-    if from == 0 {
-        ctx.pc_apply(rpow.col(0), upow.col_mut(0));
-    }
-    for j in from..to {
-        ctx.spmv(upow.col(j), rpow.col_mut(j + 1));
-        // pscg-lint: allow(float-eq, exact identity-scaling skip; sigma is a set parameter, not computed)
-        if sigma != 1.0 {
-            ctx.scale_v(sigma, rpow.col_mut(j + 1));
-        }
-        ctx.pc_apply(rpow.col(j + 1), upow.col_mut(j + 1));
-    }
+    drv.finish(ctx)
 }
 
 #[cfg(test)]

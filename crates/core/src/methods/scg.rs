@@ -4,15 +4,14 @@
 //! One *blocking* allreduce per s-step iteration (each worth s PCG steps),
 //! at the price of **s+1** SPMVs per iteration: the residual is recomputed
 //! as `r = b − A x` and the monomial basis `{r, Ar, …, Aˢr}` is rebuilt with
-//! fresh products every iteration. Unpreconditioned.
+//! fresh products every iteration. Unpreconditioned: the blocking s-step
+//! loop of [`pscg`] over the plain chain.
 
 use pscg_sim::Context;
 
-use crate::methods::{global_ref_norm, init_residual};
-use crate::solver::{SolveOptions, SolveResult, StopReason};
-use crate::sstep::{
-    conjugate_window, estimate_sigma, extend_scaled_powers, GramPacket, GramPacketBuf, ScalarWork,
-};
+use crate::methods::pscg;
+use crate::solver::{SolveOptions, SolveResult};
+use crate::sstep::Chain;
 
 /// Solves `A x = b` with sCG. `x0` defaults to zero.
 pub fn solve<C: Context>(
@@ -21,117 +20,7 @@ pub fn solve<C: Context>(
     x0: Option<&[f64]>,
     opts: &SolveOptions,
 ) -> SolveResult {
-    let s = opts.s.min(ctx.nrows().max(1));
-    assert!(s >= 1, "sCG requires s >= 1");
-    let bnorm = global_ref_norm(ctx, b, opts);
-    let threshold = opts.threshold(bnorm);
-    let mut resil = crate::resilience::ResilienceState::new(opts, bnorm);
-    let (mut x, r) = init_residual(ctx, b, x0);
-
-    // pow[j] = (σA)^j r, j = 0..=s (lines 3–4: s SPMVs after the
-    // residual); σ keeps the monomial columns O(‖r‖) (see sstep docs).
-    let mut pow = ctx.alloc_multi(s + 1);
-    pow.col_mut(0).copy_from_slice(&r);
-    {
-        let (src, dst) = pow.col_pair_mut(0, 1);
-        ctx.spmv(src, dst);
-    }
-    let sigma = estimate_sigma(ctx, pow.col(0), pow.col(1));
-    ctx.scale_v(sigma, pow.col_mut(1));
-    extend_scaled_powers(ctx, &mut pow, 1, s, sigma);
-
-    let mut dirs = ctx.alloc_multi(s);
-    let mut dirs_next = ctx.alloc_multi(s);
-    let mut ax = ctx.alloc_vec();
-    let mut scalar = ScalarWork::new(s);
-    let mut packet = GramPacketBuf::new(s);
-    let mut history: Vec<f64> = Vec::new();
-    let mut iters = 0usize;
-    let stop;
-
-    loop {
-        // Line 5 / 13 / 19: the 2s dot products, as one blocking allreduce.
-        ctx.local_gram_packet(&pow, &pow, &dirs, &mut packet);
-        let red = ctx.allreduce(packet.flat());
-        let pkt = GramPacket::view(s, &red);
-        // A dead peer poisons the reduction: the check must precede the
-        // relres computation, whose `.max(0.0)` would clamp a NaN norm
-        // into a fake zero-residual convergence. The supervisor owns the
-        // buddy rebuild.
-        if ctx.rank_failure().is_some() {
-            resil.rollback(ctx, &mut x);
-            stop = StopReason::RankFailed;
-            break;
-        }
-
-        let norms = pkt.norms();
-        let relres =
-            crate::methods::relres_from_sq(opts.norm.pick_sq(norms[0], norms[1], norms[2]), bnorm);
-        history.push(relres);
-        ctx.note_residual(relres);
-        crate::telemetry::note_iter(
-            ctx,
-            iters,
-            relres,
-            norms,
-            &scalar.alpha,
-            scalar.b.data(),
-            f64::NAN,
-        );
-        if relres * bnorm < threshold {
-            stop = StopReason::Converged;
-            break;
-        }
-        if iters >= opts.max_iters {
-            stop = StopReason::MaxIterations;
-            break;
-        }
-        if !relres.is_finite() || relres > 1e8 || norms[2] < 0.0 {
-            // The recurrences have left the basin of useful arithmetic
-            // (non-finite/diverged residual, or a negative (r, u) scalar on
-            // an SPD system); report breakdown instead of iterating on.
-            resil.rollback(ctx, &mut x);
-            stop = StopReason::Breakdown;
-            break;
-        }
-        match resil.on_check(ctx, b, &x, relres) {
-            crate::resilience::CheckVerdict::Continue => {}
-            verdict => {
-                resil.rollback(ctx, &mut x);
-                stop = verdict.stop();
-                break;
-            }
-        }
-        // Line 7: Scalar Work (two s×s LU solves).
-        if scalar.step(ctx, &pkt).is_err() {
-            resil.rollback(ctx, &mut x);
-            stop = StopReason::Breakdown;
-            break;
-        }
-
-        // Lines 9–10 / 15–16: conjugate the basis and advance the solution.
-        conjugate_window(ctx, &mut dirs_next, &pow, 0, &dirs, &scalar.b);
-        std::mem::swap(&mut dirs, &mut dirs_next);
-        // The directions live in the σ-scaled basis: x advances by σ·α.
-        scalar.scale_alpha(sigma);
-        ctx.block_gemv_acc(&dirs, &scalar.alpha_x, &mut x);
-
-        // Lines 11–12 / 17–18: fresh residual and basis, s+1 SPMVs.
-        ctx.spmv(&x, &mut ax);
-        ctx.waxpy(pow.col_mut(0), -1.0, &ax, b);
-        extend_scaled_powers(ctx, &mut pow, 0, s, sigma);
-        iters += s;
-    }
-
-    SolveResult {
-        x,
-        iterations: iters,
-        stop,
-        final_relres: history.last().copied().unwrap_or(f64::NAN),
-        history,
-        counters: *ctx.counters(),
-        method: "sCG",
-    }
+    pscg::solve_chain(ctx, b, x0, opts, "sCG", Chain::Plain)
 }
 
 #[cfg(test)]

@@ -8,11 +8,9 @@
 
 use pscg_sim::Context;
 
-use crate::methods::{global_ref_norm, init_residual};
+use crate::driver::Driver;
 use crate::solver::{SolveOptions, SolveResult, StopReason};
-use crate::sstep::{
-    conjugate_window, estimate_sigma, extend_scaled_powers, GramPacket, GramPacketBuf, ScalarWork,
-};
+use crate::sstep::{diverged, Chain, GramPacket, GramPacketBuf, PowerBasis, ScalarWork};
 
 /// Solves `A x = b` with sCG-sSPMV. `x0` defaults to zero.
 pub fn solve<C: Context>(
@@ -23,21 +21,10 @@ pub fn solve<C: Context>(
 ) -> SolveResult {
     let s = opts.s.min(ctx.nrows().max(1));
     assert!(s >= 1, "sCG-sSPMV requires s >= 1");
-    let bnorm = global_ref_norm(ctx, b, opts);
-    let threshold = opts.threshold(bnorm);
-    let mut resil = crate::resilience::ResilienceState::new(opts, bnorm);
-    let (mut x, r) = init_residual(ctx, b, x0);
+    let (mut drv, r) = Driver::begin(ctx, "sCG-sSPMV", b, x0, opts, None);
 
-    // pow[j] = (σA)^j r, j = 0..=s (line 3–4); σ-scaled basis, see sstep.
-    let mut pow = ctx.alloc_multi(s + 1);
-    pow.col_mut(0).copy_from_slice(&r);
-    {
-        let (src, dst) = pow.col_pair_mut(0, 1);
-        ctx.spmv(src, dst);
-    }
-    let sigma = estimate_sigma(ctx, pow.col(0), pow.col(1));
-    ctx.scale_v(sigma, pow.col_mut(1));
-    extend_scaled_powers(ctx, &mut pow, 1, s, sigma);
+    // pow[j] = (σA)^j r, j = 0..=s (line 3–4).
+    let mut basis = PowerBasis::new(ctx, Chain::Plain, &r, s, s);
 
     // Direction block P and its image AP (line 2: P = 0, AP = 0).
     let mut dirs = ctx.alloc_multi(s);
@@ -46,96 +33,45 @@ pub fn solve<C: Context>(
     let mut adirs_next = ctx.alloc_multi(s);
     let mut scalar = ScalarWork::new(s);
     let mut packet = GramPacketBuf::new(s);
-    let mut history: Vec<f64> = Vec::new();
-    let mut iters = 0usize;
-    let stop;
 
     loop {
-        ctx.local_gram_packet(&pow, &pow, &dirs, &mut packet);
-        let red = ctx.allreduce(packet.flat());
+        basis.gram_packet(ctx, &dirs, &mut packet);
+        let Some(red) = drv.reduce(ctx, packet.flat()) else {
+            break;
+        };
         let pkt = GramPacket::view(s, &red);
-        // A dead peer poisons the reduction: the check must precede the
-        // relres computation, whose `.max(0.0)` would clamp a NaN norm
-        // into a fake zero-residual convergence. The supervisor owns the
-        // buddy rebuild.
-        if ctx.rank_failure().is_some() {
-            resil.rollback(ctx, &mut x);
-            stop = StopReason::RankFailed;
-            break;
-        }
-
         let norms = pkt.norms();
-        let relres =
-            crate::methods::relres_from_sq(opts.norm.pick_sq(norms[0], norms[1], norms[2]), bnorm);
-        history.push(relres);
-        ctx.note_residual(relres);
-        crate::telemetry::note_iter(
-            ctx,
-            iters,
-            relres,
-            norms,
-            &scalar.alpha,
-            scalar.b.data(),
-            f64::NAN,
-        );
-        if relres * bnorm < threshold {
-            stop = StopReason::Converged;
+        if drv
+            .check(ctx, norms, scalar.report(), diverged(norms))
+            .is_some()
+        {
             break;
-        }
-        if iters >= opts.max_iters {
-            stop = StopReason::MaxIterations;
-            break;
-        }
-        if !relres.is_finite() || relres > 1e8 || norms[2] < 0.0 {
-            // The recurrences have left the basin of useful arithmetic
-            // (non-finite/diverged residual, or a negative (r, u) scalar on
-            // an SPD system); report breakdown instead of iterating on.
-            resil.rollback(ctx, &mut x);
-            stop = StopReason::Breakdown;
-            break;
-        }
-        match resil.on_check(ctx, b, &x, relres) {
-            crate::resilience::CheckVerdict::Continue => {}
-            verdict => {
-                resil.rollback(ctx, &mut x);
-                stop = verdict.stop();
-                break;
-            }
         }
         if scalar.step(ctx, &pkt).is_err() {
-            resil.rollback(ctx, &mut x);
-            stop = StopReason::Breakdown;
+            drv.fail(ctx, StopReason::Breakdown);
             break;
         }
 
         // Lines 9–11 / 18–20: conjugate P and AP with the same β-matrix.
         // AP's fresh window is {Ar, …, Aˢr} = pow[1..=s].
-        conjugate_window(ctx, &mut dirs_next, &pow, 0, &dirs, &scalar.b);
-        conjugate_window(ctx, &mut adirs_next, &pow, 1, &adirs, &scalar.b);
+        let pow = basis.lists().0;
+        ctx.block_combine(&mut dirs_next, pow, 0, &dirs, &scalar.b);
+        ctx.block_combine(&mut adirs_next, pow, 1, &adirs, &scalar.b);
         std::mem::swap(&mut dirs, &mut dirs_next);
         std::mem::swap(&mut adirs, &mut adirs_next);
 
         // Lines 12–13 / 21–22: x += P(σα) and the recurrence residual
         // r ← r − AP·α (this replaces the extra SPMV of Algorithm 2; the
         // AP block carries the σ factor, so it consumes the raw α).
-        scalar.scale_alpha(sigma);
-        ctx.block_gemv_acc(&dirs, &scalar.alpha_x, &mut x);
-        ctx.block_gemv_sub(&adirs, &scalar.alpha, pow.col_mut(0));
+        scalar.scale_alpha(basis.sigma);
+        ctx.block_gemv_acc(&dirs, &scalar.alpha_x, &mut drv.x);
+        ctx.block_gemv_sub(&adirs, &scalar.alpha, basis.residual_mut());
 
         // Lines 14–15 / 23–24: rebuild the powers with exactly s SPMVs.
-        extend_scaled_powers(ctx, &mut pow, 0, s, sigma);
-        iters += s;
+        basis.extend(ctx, 0, s);
+        drv.advance(s);
     }
-
-    SolveResult {
-        x,
-        iterations: iters,
-        stop,
-        final_relres: history.last().copied().unwrap_or(f64::NAN),
-        history,
-        counters: *ctx.counters(),
-        method: "sCG-sSPMV",
-    }
+    drv.finish(ctx)
 }
 
 #[cfg(test)]

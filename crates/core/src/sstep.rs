@@ -24,11 +24,13 @@
 //! * `W = N + CᵀB + BᵀC + BᵀW_prev B`  (`= PᵀA P` of the new directions),
 //! * `α = W⁻¹ (g1 + Bᵀ g2)`  (error-functional minimisation over the space).
 
-use pscg_sim::Context;
+use pscg_sim::{Context, RecurrenceStep};
 use pscg_sparse::dense::DenseMatrix;
-use pscg_sparse::multivec::gram_packet_len;
 pub use pscg_sparse::multivec::GramPacketBuf;
+use pscg_sparse::multivec::{gram_packet_len, RecurrenceFamily};
 use pscg_sparse::MultiVector;
+
+use crate::driver::Scalars;
 
 /// The per-iteration reduction payload of the s-step methods, as a view on
 /// its flat encoding: `N`, `C`, `g1`, `g2`, norms. The local packet lives
@@ -84,75 +86,236 @@ impl<'a> GramPacket<'a> {
     }
 }
 
-/// Estimates the basis scale `σ ≈ 1/ρ(op)` from one operator application
-/// (`den = op·num`): `σ = ‖num‖/‖den‖`, reduced globally (one blocking
-/// allreduce at setup).
+/// Which operator chain generates an s-step method's monomial basis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Chain {
+    /// `(σA)^j r`, one SPMV per link.
+    Plain,
+    /// `(σA)^j r` through [`Context::mpk`] (one widened halo exchange per
+    /// call; numerically the plain chain).
+    Mpk,
+    /// `(σAM⁻¹)^j r` and `M⁻¹` of it, one SPMV and one PC per link.
+    Preconditioned,
+}
+
+/// The σ-scaled monomial power list(s) of an s-step method.
 ///
-/// All s-step methods here generate their monomial bases with the *scaled*
-/// operator `Ã = σA` (or `σAM⁻¹` / `σM⁻¹A`), which spans the same Krylov
-/// space while keeping the power columns O(‖r‖) — without this, an
-/// unpreconditioned basis on a badly scaled operator (‖A‖ ~ 10⁴ for the
-/// thermal surrogate) overflows within a few iterations. The consequence for
-/// the scalar work is a single factor: the solution update uses `σ·α` while
-/// the basis recurrences use `α` as solved (see the method bodies).
-pub fn estimate_sigma<C: Context>(ctx: &mut C, num: &[f64], den: &[f64]) -> f64 {
-    let nn = ctx.local_dot(num, num);
-    let dd = ctx.local_dot(den, den);
-    let red = ctx.allreduce(&[nn, dd]);
-    if red[0] > 0.0 && red[1] > 0.0 && red[0].is_finite() && red[1].is_finite() {
-        (red[0] / red[1]).sqrt()
-    } else {
-        1.0
-    }
+/// All s-step methods here generate their bases with the *scaled* operator
+/// `Ã = σA` (or `σAM⁻¹` / `σM⁻¹A`), `σ ≈ 1/ρ` estimated from the first chain
+/// link, which spans the same Krylov space while keeping the power columns
+/// O(‖r‖) — without this, an unpreconditioned basis on a badly scaled
+/// operator (‖A‖ ~ 10⁴ for the thermal surrogate) overflows within a few
+/// iterations. The consequence for the scalar work is a single factor: the
+/// solution update uses `σ·α` ([`ScalarWork::scale_alpha`]) while the basis
+/// recurrences use `α` as solved.
+///
+/// The single list is the `u ≡ r` case of the dual lists: with `M = I` the
+/// u-type list `M⁻¹·rpow` *is* the r-type list, so a consumer of the
+/// `(upow, rpow)` pair ([`Context::local_gram_packet`]) gets the same block
+/// twice and a consumer of one family per list
+/// ([`Context::block_recurrence_step`]) gets one family.
+pub(crate) struct PowerBasis {
+    /// r-type list `rpow[j] = (σAM⁻¹)^j r`.
+    rpow: MultiVector,
+    /// u-type list `upow[j] = M⁻¹ rpow[j]`; `None` when `M = I`.
+    upow: Option<MultiVector>,
+    /// The basis scale `σ`.
+    pub sigma: f64,
+    /// Extend through [`Context::mpk`] (single list only).
+    mpk: bool,
 }
 
-/// Extends a single (unpreconditioned) power list with the scaled operator:
-/// `pow[j] = σ·A·pow[j−1]` for `j = from+1 ..= to`.
-pub fn extend_scaled_powers<C: Context>(
-    ctx: &mut C,
-    pow: &mut MultiVector,
-    from: usize,
-    to: usize,
-    sigma: f64,
-) {
-    for j in from + 1..=to {
-        {
-            let (src, dst) = pow.col_pair_mut(j - 1, j);
-            ctx.spmv(src, dst);
+/// A direction block and its A-power blocks `apow[w] = Ã^{w+1}·dirs`: what
+/// the pipelined recurrences carry per power list.
+pub(crate) struct DirBlocks {
+    pub dirs: MultiVector,
+    pub apow: Vec<MultiVector>,
+}
+
+impl DirBlocks {
+    /// Zero blocks: `s` direction columns and `s + 1` A-power blocks.
+    pub(crate) fn new<C: Context>(ctx: &mut C, s: usize) -> Self {
+        DirBlocks {
+            dirs: ctx.alloc_multi(s),
+            apow: (0..=s).map(|_| ctx.alloc_multi(s)).collect(),
         }
-        // pscg-lint: allow(float-eq, exact identity-scaling skip; sigma is a set parameter, not computed)
-        if sigma != 1.0 {
-            ctx.scale_v(sigma, pow.col_mut(j));
+    }
+
+    /// These blocks as the recurrence family of the power list `pow`.
+    fn family<'a>(&'a mut self, pow: &'a mut MultiVector) -> RecurrenceFamily<'a> {
+        RecurrenceFamily {
+            pow,
+            dirs: &mut self.dirs,
+            apow: &mut self.apow,
         }
     }
 }
 
-/// Copies `count` columns of `src` starting at `src_off` into the leading
-/// columns of `dst` (charged as vector moves).
-pub fn copy_cols<C: Context>(
-    ctx: &mut C,
-    dst: &mut MultiVector,
-    src: &MultiVector,
-    src_off: usize,
-    count: usize,
-) {
-    for j in 0..count {
-        ctx.copy_v(src.col(src_off + j), dst.col_mut(j));
+impl PowerBasis {
+    /// Lists of `depth + 1` columns with column 0 `= r` and the first `s`
+    /// powers built: the first chain link, `σ = ‖r‖/‖Ã₁r‖` from it (one
+    /// blocking allreduce; 1 when either norm is unusable), then
+    /// [`PowerBasis::extend`] to `s`.
+    pub(crate) fn new<C: Context>(
+        ctx: &mut C,
+        chain: Chain,
+        r: &[f64],
+        s: usize,
+        depth: usize,
+    ) -> Self {
+        let mut rpow = ctx.alloc_multi(depth + 1);
+        let mut upow = (chain == Chain::Preconditioned).then(|| ctx.alloc_multi(depth + 1));
+        rpow.col_mut(0).copy_from_slice(r);
+        match upow.as_mut() {
+            Some(upow) => {
+                ctx.pc_apply(rpow.col(0), upow.col_mut(0));
+                ctx.spmv(upow.col(0), rpow.col_mut(1));
+            }
+            None => {
+                let (src, dst) = rpow.col_pair_mut(0, 1);
+                ctx.spmv(src, dst);
+            }
+        }
+        let nn = ctx.local_dot(rpow.col(0), rpow.col(0));
+        let dd = ctx.local_dot(rpow.col(1), rpow.col(1));
+        let red = ctx.allreduce(&[nn, dd]);
+        let usable = red[0] > 0.0 && red[1] > 0.0 && red[0].is_finite() && red[1].is_finite();
+        let sigma = if usable {
+            (red[0] / red[1]).sqrt()
+        } else {
+            1.0
+        };
+        ctx.scale_v(sigma, rpow.col_mut(1));
+        if let Some(upow) = upow.as_mut() {
+            ctx.pc_apply(rpow.col(1), upow.col_mut(1));
+        }
+        let mpk = chain == Chain::Mpk;
+        let mut basis = PowerBasis {
+            rpow,
+            upow,
+            sigma,
+            mpk,
+        };
+        basis.extend(ctx, 1, s);
+        basis
+    }
+
+    /// The `(upow, rpow)` pair: u-type and r-type list.
+    pub(crate) fn lists(&self) -> (&MultiVector, &MultiVector) {
+        (self.upow.as_ref().unwrap_or(&self.rpow), &self.rpow)
+    }
+
+    /// The residual column `rpow[0]`.
+    pub(crate) fn residual_mut(&mut self) -> &mut [f64] {
+        self.rpow.col_mut(0)
+    }
+
+    /// Extends the chain(s) from power `from` to power `to`:
+    /// `rpow[j+1] = σ·A·upow[j]`, `upow[j+1] = M⁻¹ rpow[j+1]` — `to − from`
+    /// SPMVs (and PCs, plus the boundary PC `upow[0] = M⁻¹ rpow[0]` when
+    /// starting from a fresh residual). With `from = s, to = 2s` this is
+    /// the pipelined methods' overlap window.
+    pub(crate) fn extend<C: Context>(&mut self, ctx: &mut C, from: usize, to: usize) {
+        let (rpow, sigma) = (&mut self.rpow, self.sigma);
+        match self.upow.as_mut() {
+            None if self.mpk => ctx.mpk(rpow, from, to, sigma),
+            None => {
+                for j in from..to {
+                    let (src, dst) = rpow.col_pair_mut(j, j + 1);
+                    ctx.spmv(src, dst);
+                    scale_link(ctx, sigma, dst);
+                }
+            }
+            Some(upow) => {
+                if from == 0 {
+                    ctx.pc_apply(rpow.col(0), upow.col_mut(0));
+                }
+                for j in from..to {
+                    ctx.spmv(upow.col(j), rpow.col_mut(j + 1));
+                    scale_link(ctx, sigma, rpow.col_mut(j + 1));
+                    ctx.pc_apply(rpow.col(j + 1), upow.col_mut(j + 1));
+                }
+            }
+        }
+    }
+
+    /// Restarts the basis from the true residual: `rpow[0] = b − A x`
+    /// (through the scratch `ax`), then the first `s` powers — the `s + 1`
+    /// SPMVs (and PCs) per iteration of Algorithms 2–3, and the
+    /// non-recurrence pass of PIPECG-OATI.
+    pub(crate) fn restart<C: Context>(
+        &mut self,
+        ctx: &mut C,
+        x: &[f64],
+        b: &[f64],
+        ax: &mut [f64],
+        s: usize,
+    ) {
+        ctx.spmv(x, ax);
+        ctx.waxpy(self.residual_mut(), -1.0, ax, b);
+        self.extend(ctx, 0, s);
+    }
+
+    /// The local Gram packet of the current basis against `udirs`.
+    pub(crate) fn gram_packet<C: Context>(
+        &self,
+        ctx: &mut C,
+        udirs: &MultiVector,
+        packet: &mut GramPacketBuf,
+    ) {
+        let (upow, rpow) = self.lists();
+        ctx.local_gram_packet(upow, rpow, udirs, packet);
+    }
+
+    /// The recurrence phase of one pipelined iteration
+    /// ([`Context::block_recurrence_step`]) over one family per list —
+    /// `blocks` holds the u-type blocks, then (dual basis) the r-type ones —
+    /// followed by `x += Q·(σα)`. `shift` and `extra_vma_flops_per_row` as
+    /// in [`RecurrenceStep`].
+    pub(crate) fn recurrence_step<C: Context>(
+        &mut self,
+        ctx: &mut C,
+        blocks: &mut [DirBlocks],
+        scalar: &ScalarWork,
+        (shift, extra_vma_flops_per_row): (bool, f64),
+        packet: &mut GramPacketBuf,
+        x: &mut [f64],
+    ) {
+        let mut run = |families: &mut [RecurrenceFamily<'_>]| {
+            ctx.block_recurrence_step(
+                RecurrenceStep {
+                    families,
+                    b: &scalar.b,
+                    alpha: &scalar.alpha,
+                    alpha_x: &scalar.alpha_x,
+                    shift,
+                    extra_vma_flops_per_row,
+                    packet,
+                },
+                x,
+            )
+        };
+        match (self.upow.as_mut(), blocks) {
+            (None, [d]) => run(&mut [d.family(&mut self.rpow)]),
+            (Some(upow), [u, r]) => run(&mut [u.family(upow), r.family(&mut self.rpow)]),
+            _ => unreachable!("one DirBlocks per power list"),
+        }
     }
 }
 
-/// The recurrence linear combination of the paper: builds
-/// `dst = src[:, off..off+s] + prev · B` (e.g. `Q = Q + P[β¹…βˢ]`,
-/// Algorithm 5 lines 17/19) — as a single fused sweep over the rows.
-pub fn conjugate_window<C: Context>(
-    ctx: &mut C,
-    dst: &mut MultiVector,
-    src: &MultiVector,
-    off: usize,
-    prev: &MultiVector,
-    b: &DenseMatrix,
-) {
-    ctx.block_combine(dst, src, off, prev, b);
+/// The s-step methods' breakdown predicate on a packet's norms: the
+/// recurrences have left the basin of useful arithmetic — a diverged
+/// relative residual, or a negative `(r, u)` on an SPD system.
+pub(crate) fn diverged(norms: [f64; 3]) -> impl FnOnce(f64) -> bool {
+    move |relres| relres > 1e8 || norms[2] < 0.0
+}
+
+/// `v *= σ`, skipped for the identity scale.
+fn scale_link<C: Context>(ctx: &mut C, sigma: f64, v: &mut [f64]) {
+    // pscg-lint: allow(float-eq, exact identity-scaling skip; sigma is a set parameter, not computed)
+    if sigma != 1.0 {
+        ctx.scale_v(sigma, v);
+    }
 }
 
 /// Cross-iteration scalar state of an s-step method. Every matrix and
@@ -214,6 +377,12 @@ impl ScalarWork {
             col: vec,
             eig: EquilibratedEig::new(s),
         }
+    }
+
+    /// The `α` and `B` the recurrences last used, for the telemetry of the
+    /// next convergence check (the s-step methods carry no γ scalar).
+    pub(crate) fn report(&self) -> Scalars<'_> {
+        Scalars(&self.alpha, self.b.data(), f64::NAN)
     }
 
     /// Refreshes [`ScalarWork::alpha_x`] `= σ·α` after a successful
