@@ -141,14 +141,7 @@ pub(crate) fn solve_chain<C: Context>(
         }
         // Line 15: Scalar Work.
         if scalar.step(ctx, &pkt).is_err() {
-            drv.fail(
-                ctx,
-                if dual {
-                    StopReason::Stagnated
-                } else {
-                    StopReason::Breakdown
-                },
-            );
+            drv.fail(ctx, StopReason::Breakdown);
             break;
         }
 

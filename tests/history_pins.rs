@@ -114,13 +114,13 @@ const PINS: [[(&str, u64); 11]; 5] = [
     [
         ("Breakdown", 0x8476acdd3c1d08ed), // PCG
         ("Breakdown", 0x1c1c96fc08a72184), // PIPECG
-        ("Stagnated", 0x1f3e4bbf510c1505), // PIPECG3
-        ("Stagnated", 0xf298eac48b5ba029), // PIPECG-OATI
+        ("Breakdown", 0x1f3e4bbf510c1505), // PIPECG3
+        ("Breakdown", 0xf298eac48b5ba029), // PIPECG-OATI
         ("Breakdown", 0xb8389898b9846bd8), // sCG
         ("Breakdown", 0xf4ae8983905a184f), // sCG-sSPMV
         ("Breakdown", 0x15c90575eb32fb2a), // PsCG
         ("Breakdown", 0x3434acf4fbba4325), // PIPE-sCG
-        ("Stagnated", 0x1d591291274f8059), // PIPE-PsCG
+        ("Breakdown", 0x1d591291274f8059), // PIPE-PsCG
         ("Converged", 0x476fd901e3dbd78d), // Hybrid-pipelined
         ("Breakdown", 0x5cfaff2db6558380), // CG3
     ],
