@@ -29,27 +29,11 @@ fn precond(name: &str, a: &CsrMatrix) -> Box<dyn Operator> {
     }
 }
 
-fn all_methods() -> [MethodKind; 11] {
-    [
-        MethodKind::Pcg,
-        MethodKind::Pipecg,
-        MethodKind::Pipecg3,
-        MethodKind::PipecgOati,
-        MethodKind::Scg,
-        MethodKind::ScgSspmv,
-        MethodKind::Pscg,
-        MethodKind::PipeScg,
-        MethodKind::PipePscg,
-        MethodKind::Hybrid,
-        MethodKind::Cg3,
-    ]
-}
-
 #[test]
 fn every_method_is_hazard_free_under_every_preconditioner() {
     let (a, b, prof) = problem();
     for pc_name in ["Jacobi", "BlockJacobi", "IC(0)"] {
-        for method in all_methods() {
+        for method in MethodKind::ALL {
             let pc = precond(pc_name, &a);
             let mut ctx = SimCtx::traced(&a, pc, prof.clone());
             let opts = SolveOptions::with_rtol(1e-6).with_s(S);

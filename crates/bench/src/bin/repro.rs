@@ -109,21 +109,6 @@ use pscg_sim::{Machine, SimCtx};
 use pscg_sparse::stencil::{poisson3d_7pt, Grid3};
 use pscg_sparse::CsrMatrix;
 
-/// Every method the drivers sweep, in the paper's presentation order.
-const ALL_METHODS: [MethodKind; 11] = [
-    MethodKind::Pcg,
-    MethodKind::Pipecg,
-    MethodKind::Pipecg3,
-    MethodKind::PipecgOati,
-    MethodKind::Scg,
-    MethodKind::ScgSspmv,
-    MethodKind::Pscg,
-    MethodKind::PipeScg,
-    MethodKind::PipePscg,
-    MethodKind::Hybrid,
-    MethodKind::Cg3,
-];
-
 /// Runs the static analyzer over every method's trace on the scale's
 /// Poisson problem. Returns the finding classes observed: hazards and
 /// structure violations always count; probe findings only under
@@ -136,7 +121,7 @@ fn verify_schedules(scale: &Scale, strict_probes: bool) -> Vec<FindingClass> {
     println!("| method | ops | windows | hazards | structure | probes |");
     println!("|---|---|---|---|---|---|");
     let mut classes = Vec::new();
-    for method in ALL_METHODS {
+    for method in MethodKind::ALL {
         let mut ctx = SimCtx::traced(&p.a, Box::new(Jacobi::new(&p.a)), p.profile.clone());
         let opts = SolveOptions {
             rtol: p.rtol,
@@ -193,7 +178,7 @@ fn verify_ir(scale: &Scale) -> Vec<FindingClass> {
     println!("| method | IR nodes | static | overlap capacity | conformance |");
     println!("|---|---|---|---|---|");
     let mut classes = Vec::new();
-    for method in ALL_METHODS {
+    for method in MethodKind::ALL {
         let ir = pscg_ir::method_ir(method, s);
         let findings = pscg_ir::verify_static(&ir);
         let caps = pscg_ir::overlap::report(&ir);
@@ -425,7 +410,7 @@ fn run_telemetry(scale: &Scale, dir: &Path, results: &Path, aggregate: bool) -> 
     if aggregate {
         pscg_obs::set_mode(pscg_obs::TelemetryMode::Aggregate);
     }
-    for method in ALL_METHODS {
+    for method in MethodKind::ALL {
         // Clear spans/aggregates left over from a previous method (or a
         // failed run).
         pscg_obs::span::drain();
@@ -610,7 +595,7 @@ fn run_perf_report(scale: &Scale, results: &Path) -> bool {
     let mut report = pscg_bench::perf_report::PerfReport::default();
     let mut ok = true;
     pscg_obs::set_enabled(true);
-    for method in ALL_METHODS {
+    for method in MethodKind::ALL {
         pscg_obs::span::drain();
         let mut ctx = SimCtx::serial(&p.a, Box::new(Jacobi::new(&p.a)));
         let opts = SolveOptions {
@@ -683,7 +668,7 @@ fn run_fault_campaign(scale: &Scale, plan: &FaultPlan, results: &Path) -> bool {
     let flight_path = results.join("flight.json");
     pscg_obs::set_enabled(true);
     pscg_obs::flight::configure(16, Some(flight_path.clone()));
-    for method in ALL_METHODS {
+    for method in MethodKind::ALL {
         let mut ctx = SimCtx::serial(&p.a, Box::new(Jacobi::new(&p.a)));
         ctx.arm_faults(plan.clone());
         let opts = SolveOptions {
@@ -940,7 +925,7 @@ fn run_chaos(n: usize, seed: u64, results: &Path) -> Vec<FindingClass> {
     for k in 0..n {
         let plan = chaos::generate(seed.wrapping_add(k as u64), &ChaosConfig::default());
         let mut classes: BTreeMap<&'static str, usize> = BTreeMap::new();
-        for method in ALL_METHODS {
+        for method in MethodKind::ALL {
             let out = chaos_solve_watched(&a, &b, method, &plan, Duration::from_secs(30));
             *hist.entry(out.class).or_insert(0) += 1;
             *classes.entry(out.class).or_insert(0) += 1;
@@ -977,8 +962,8 @@ fn run_chaos(n: usize, seed: u64, results: &Path) -> Vec<FindingClass> {
 
     let mut json = format!(
         "{{\n  \"seed\": {seed},\n  \"campaigns\": {n},\n  \"methods\": {},\n  \"solves\": {},\n",
-        ALL_METHODS.len(),
-        n * ALL_METHODS.len()
+        MethodKind::ALL.len(),
+        n * MethodKind::ALL.len()
     );
     json.push_str("  \"outcomes\": {");
     json.push_str(
@@ -1055,7 +1040,7 @@ fn run_chaos_plant(results: &Path) -> ! {
     pscg_obs::set_enabled(true);
     pscg_obs::flight::configure(16, Some(results.join("flight.json")));
     let mut caught = None;
-    for method in ALL_METHODS {
+    for method in MethodKind::ALL {
         let out = chaos_solve_watched(&a, &b, method, &plan, Duration::from_secs(30));
         eprintln!(
             "[chaos-plant] {}: {} {}",

@@ -32,20 +32,7 @@ pub fn spmv_model_bytes_per_nnz(nnz: f64, rows: f64) -> f64 {
 /// Resolves a method name as printed by `MethodKind::name` (the spelling
 /// used in every telemetry artifact) back to its kind.
 pub fn method_by_name(name: &str) -> Option<MethodKind> {
-    const ALL: [MethodKind; 11] = [
-        MethodKind::Pcg,
-        MethodKind::Pipecg,
-        MethodKind::Pipecg3,
-        MethodKind::PipecgOati,
-        MethodKind::Scg,
-        MethodKind::ScgSspmv,
-        MethodKind::Pscg,
-        MethodKind::PipeScg,
-        MethodKind::PipePscg,
-        MethodKind::Hybrid,
-        MethodKind::Cg3,
-    ];
-    ALL.into_iter().find(|m| m.name() == name)
+    MethodKind::ALL.into_iter().find(|m| m.name() == name)
 }
 
 /// Derives per-invocation kernel models for one method from its IR body

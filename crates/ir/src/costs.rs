@@ -123,19 +123,7 @@ mod tests {
 
     #[test]
     fn every_method_body_has_some_priced_work() {
-        for kind in [
-            MethodKind::Pcg,
-            MethodKind::Pipecg,
-            MethodKind::Pipecg3,
-            MethodKind::PipecgOati,
-            MethodKind::Scg,
-            MethodKind::ScgSspmv,
-            MethodKind::Pscg,
-            MethodKind::PipeScg,
-            MethodKind::PipePscg,
-            MethodKind::Hybrid,
-            MethodKind::Cg3,
-        ] {
+        for kind in MethodKind::ALL {
             let ir = spec(kind, 3);
             let c = body_cost(&ir);
             assert!(

@@ -66,24 +66,10 @@ mod tests {
     use super::*;
     use pipescg::methods::MethodKind;
 
-    const ALL: [MethodKind; 11] = [
-        MethodKind::Pcg,
-        MethodKind::Pipecg,
-        MethodKind::Pipecg3,
-        MethodKind::PipecgOati,
-        MethodKind::Scg,
-        MethodKind::ScgSspmv,
-        MethodKind::Pscg,
-        MethodKind::PipeScg,
-        MethodKind::PipePscg,
-        MethodKind::Hybrid,
-        MethodKind::Cg3,
-    ];
-
     #[test]
     fn all_eleven_specs_verify_statically() {
         for s in [2, 3, 4, 5] {
-            for kind in ALL {
+            for kind in MethodKind::ALL {
                 let findings = verify_static(&method_ir(kind, s));
                 assert!(
                     findings.is_empty(),

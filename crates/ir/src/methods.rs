@@ -391,23 +391,9 @@ fn pipe_pscg(
 mod tests {
     use super::*;
 
-    const ALL: [MethodKind; 11] = [
-        MethodKind::Pcg,
-        MethodKind::Pipecg,
-        MethodKind::Pipecg3,
-        MethodKind::PipecgOati,
-        MethodKind::Scg,
-        MethodKind::ScgSspmv,
-        MethodKind::Pscg,
-        MethodKind::PipeScg,
-        MethodKind::PipePscg,
-        MethodKind::Hybrid,
-        MethodKind::Cg3,
-    ];
-
     #[test]
     fn every_method_has_a_spec_with_a_check() {
-        for kind in ALL {
+        for kind in MethodKind::ALL {
             let ir = spec(kind, 3);
             assert!(
                 matches!(ir.body[ir.check_at].kind, NodeKind::ResCheck),

@@ -10,20 +10,6 @@ use pscg_sim::{Layout, MatrixProfile, OpTrace, SimCtx};
 use pscg_sparse::stencil::{poisson3d_7pt, Grid3};
 use pscg_sparse::CsrMatrix;
 
-const ALL: [MethodKind; 11] = [
-    MethodKind::Pcg,
-    MethodKind::Pipecg,
-    MethodKind::Pipecg3,
-    MethodKind::PipecgOati,
-    MethodKind::Scg,
-    MethodKind::ScgSspmv,
-    MethodKind::Pscg,
-    MethodKind::PipeScg,
-    MethodKind::PipePscg,
-    MethodKind::Hybrid,
-    MethodKind::Cg3,
-];
-
 fn problem() -> (CsrMatrix, Vec<f64>, MatrixProfile) {
     let g = Grid3::cube(8);
     let a = poisson3d_7pt(g, None);
@@ -54,7 +40,7 @@ fn all_methods_conform_at_one_and_four_threads() {
     for threads in [1, 4] {
         pscg_par::set_global_threads(threads);
         for s in [3, 4] {
-            for kind in ALL {
+            for kind in MethodKind::ALL {
                 let opts = SolveOptions::with_rtol(1e-6).with_s(s);
                 let trace = solve_trace(&a, &b, &prof, kind, &opts);
                 let ir = method_ir(kind, s);

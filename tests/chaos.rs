@@ -30,22 +30,6 @@ const RTOL: f64 = 1e-7;
 /// Recovery-ladder code of a buddy rank rebuild (resilience `code` table).
 const RANK_REBUILD: u64 = 9;
 
-fn all_methods() -> [MethodKind; 11] {
-    [
-        MethodKind::Pcg,
-        MethodKind::Pipecg,
-        MethodKind::Pipecg3,
-        MethodKind::PipecgOati,
-        MethodKind::Scg,
-        MethodKind::ScgSspmv,
-        MethodKind::Pscg,
-        MethodKind::PipeScg,
-        MethodKind::PipePscg,
-        MethodKind::Hybrid,
-        MethodKind::Cg3,
-    ]
-}
-
 fn problem() -> (pscg_sparse::CsrMatrix, Vec<f64>) {
     let g = Grid3::cube(6);
     let a = poisson3d_7pt(g, None);
@@ -104,7 +88,7 @@ fn solve_watched(method: MethodKind, plan: &FaultPlan, deadline: Duration) -> Ve
 
 #[test]
 fn rank_death_mid_solve_is_survived_by_every_method() {
-    for method in all_methods() {
+    for method in MethodKind::ALL {
         // Rank 2 dies at the 5th global collective: mid-solve for every
         // method (they all issue far more than five).
         let plan = FaultPlan::new(21).with_rank_dead(2, 4);

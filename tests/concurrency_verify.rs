@@ -24,22 +24,6 @@ use pscg_sparse::MultiVector;
 
 const S: usize = 4;
 
-fn all_methods() -> [MethodKind; 11] {
-    [
-        MethodKind::Pcg,
-        MethodKind::Pipecg,
-        MethodKind::Pipecg3,
-        MethodKind::PipecgOati,
-        MethodKind::Scg,
-        MethodKind::ScgSspmv,
-        MethodKind::Pscg,
-        MethodKind::PipeScg,
-        MethodKind::PipePscg,
-        MethodKind::Hybrid,
-        MethodKind::Cg3,
-    ]
-}
-
 /// Every method × {1, 4} kernel threads: zero races, and at four threads
 /// the pool protocol must actually appear in the trace (otherwise the
 /// sweep silently degenerated to the inline path and verified nothing).
@@ -59,7 +43,7 @@ fn every_method_is_race_free_at_one_and_four_threads() {
 
     for threads in [1usize, 4] {
         set_global_threads(threads);
-        for method in all_methods() {
+        for method in MethodKind::ALL {
             sync_trace::drain();
             sync_trace::set_enabled(true);
             let mut ctx = SimCtx::serial(&a, Box::new(Jacobi::new(&a)));

@@ -24,22 +24,6 @@ use pscg_sparse::stencil::{poisson3d_7pt, Grid3};
 
 const RTOL: f64 = 1e-7;
 
-fn all_methods() -> [MethodKind; 11] {
-    [
-        MethodKind::Pcg,
-        MethodKind::Pipecg,
-        MethodKind::Pipecg3,
-        MethodKind::PipecgOati,
-        MethodKind::Scg,
-        MethodKind::ScgSspmv,
-        MethodKind::Pscg,
-        MethodKind::PipeScg,
-        MethodKind::PipePscg,
-        MethodKind::Hybrid,
-        MethodKind::Cg3,
-    ]
-}
-
 fn problem() -> (pscg_sparse::CsrMatrix, Vec<f64>) {
     let g = Grid3::cube(6);
     let a = poisson3d_7pt(g, None);
@@ -121,7 +105,7 @@ fn assert_recovers_or_reports(method: MethodKind, plan: FaultPlan, label: &str) 
 
 #[test]
 fn every_method_survives_a_mid_solve_bitflip() {
-    for method in all_methods() {
+    for method in MethodKind::ALL {
         // A high-mantissa flip in the 4th SpMV output: a large silent data
         // corruption well after the solve is under way.
         let plan = FaultPlan::new(11).with(FaultSite::Spmv, 3, FaultAction::BitFlip { bit: 51 });
@@ -132,7 +116,7 @@ fn every_method_survives_a_mid_solve_bitflip() {
 
 #[test]
 fn every_method_survives_a_nan_preconditioner_output() {
-    for method in all_methods() {
+    for method in MethodKind::ALL {
         let plan = FaultPlan::new(12).with(FaultSite::Pc, 1, FaultAction::Nan);
         // Unpreconditioned methods apply the PC only once (the reference
         // norm), so the 2nd-invocation fault may simply never fire — that
@@ -143,7 +127,7 @@ fn every_method_survives_a_nan_preconditioner_output() {
 
 #[test]
 fn every_method_survives_a_dropped_reduction_completion() {
-    for method in all_methods() {
+    for method in MethodKind::ALL {
         // Drop the completion of the 2nd non-blocking reduction wait. In
         // the simulator this retires the handle and reports a timeout —
         // the solver must turn it into recovery or an explicit error, not
@@ -158,7 +142,7 @@ fn every_method_survives_a_dropped_reduction_completion() {
 fn combined_campaign_still_ends_in_a_verdict() {
     // All three fault classes in one plan, plus a perturbed reduction: the
     // worst case the CI fault-matrix job exercises.
-    for method in all_methods() {
+    for method in MethodKind::ALL {
         let plan = FaultPlan::new(14)
             .with(FaultSite::Spmv, 2, FaultAction::BitFlip { bit: 50 })
             .with(FaultSite::Reduce, 3, FaultAction::Perturb { eps: 1e-3 })
@@ -172,7 +156,7 @@ fn combined_campaign_still_ends_in_a_verdict() {
 fn data_faults_composed_with_a_rank_death_still_end_in_a_verdict() {
     // The chaos generator mixes data corruption with rank failure; the
     // recover-or-report contract must hold for the composition too.
-    for method in all_methods() {
+    for method in MethodKind::ALL {
         let plan = FaultPlan::new(15)
             .with(FaultSite::Spmv, 4, FaultAction::BitFlip { bit: 48 })
             .with(FaultSite::Wait, 1, FaultAction::Delay { ticks: 2 })

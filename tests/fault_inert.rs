@@ -20,22 +20,6 @@ use pscg_sparse::stencil::{poisson3d_7pt, Grid3};
 
 const S: usize = 4;
 
-fn all_methods() -> [MethodKind; 11] {
-    [
-        MethodKind::Pcg,
-        MethodKind::Pipecg,
-        MethodKind::Pipecg3,
-        MethodKind::PipecgOati,
-        MethodKind::Scg,
-        MethodKind::ScgSspmv,
-        MethodKind::Pscg,
-        MethodKind::PipeScg,
-        MethodKind::PipePscg,
-        MethodKind::Hybrid,
-        MethodKind::Cg3,
-    ]
-}
-
 /// Debug renderings of a trace's ops with interned buffer ids masked
 /// (`BufId(0)` = `ANON` is kept — anonymous vs tracked is structural).
 fn op_shapes(trace: &pscg_sim::OpTrace) -> Vec<String> {
@@ -118,7 +102,7 @@ fn empty_fault_plan_is_bitwise_inert() {
 
     for threads in [1usize, 4] {
         pscg_par::set_global_threads(threads);
-        for method in all_methods() {
+        for method in MethodKind::ALL {
             let plain = run(method, None);
             // Three armed-but-empty shapes: a bare plan, a plan that sets
             // the modeled rank count without any rank events (the chaos

@@ -24,22 +24,6 @@ use pscg_sparse::stencil::{poisson3d_7pt, Grid3};
 const S: usize = 3;
 const N: usize = 8;
 
-fn all_methods() -> [MethodKind; 11] {
-    [
-        MethodKind::Pcg,
-        MethodKind::Pipecg,
-        MethodKind::Pipecg3,
-        MethodKind::PipecgOati,
-        MethodKind::Scg,
-        MethodKind::ScgSspmv,
-        MethodKind::Pscg,
-        MethodKind::PipeScg,
-        MethodKind::PipePscg,
-        MethodKind::Hybrid,
-        MethodKind::Cg3,
-    ]
-}
-
 /// Runs `method` under `plan` through the resilient supervisor on a
 /// traced context and returns the trace plus how many faults fired.
 fn perturbed_trace(method: MethodKind, plan: FaultPlan) -> (OpTrace, usize) {
@@ -79,7 +63,7 @@ fn assert_schedule_clean(method: MethodKind, trace: &OpTrace, label: &str) {
 #[test]
 fn delayed_completions_leave_schedules_hazard_free_and_verified() {
     let mut fired = 0;
-    for method in all_methods() {
+    for method in MethodKind::ALL {
         let plan = FaultPlan::new(21).with(FaultSite::Wait, 1, FaultAction::Delay { ticks: 2 });
         let (trace, hits) = perturbed_trace(method, plan);
         fired += hits;
@@ -99,7 +83,7 @@ fn delayed_completions_leave_schedules_hazard_free_and_verified() {
 #[test]
 fn duplicated_completions_are_absorbed_without_hazards() {
     let mut fired = 0;
-    for method in all_methods() {
+    for method in MethodKind::ALL {
         let plan = FaultPlan::new(22).with(FaultSite::Wait, 1, FaultAction::Duplicate);
         let (trace, hits) = perturbed_trace(method, plan);
         fired += hits;
@@ -127,7 +111,7 @@ fn duplicated_completions_are_absorbed_without_hazards() {
 #[test]
 fn dropped_completions_recover_with_clean_prefix_verification() {
     let mut fired = 0;
-    for method in all_methods() {
+    for method in MethodKind::ALL {
         let plan = FaultPlan::new(23).with(FaultSite::Wait, 1, FaultAction::Drop);
         let (trace, hits) = perturbed_trace(method, plan);
         fired += hits;

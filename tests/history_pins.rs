@@ -30,20 +30,6 @@ use pscg_precond::Jacobi;
 use pscg_sim::{Layout, MatrixProfile, SimCtx};
 use pscg_sparse::stencil::{poisson3d_7pt, Grid3};
 
-const METHODS: [MethodKind; 11] = [
-    MethodKind::Pcg,
-    MethodKind::Pipecg,
-    MethodKind::Pipecg3,
-    MethodKind::PipecgOati,
-    MethodKind::Scg,
-    MethodKind::ScgSspmv,
-    MethodKind::Pscg,
-    MethodKind::PipeScg,
-    MethodKind::PipePscg,
-    MethodKind::Hybrid,
-    MethodKind::Cg3,
-];
-
 const SCENARIOS: [&str; 5] = [
     "clean",
     "tight",
@@ -52,7 +38,7 @@ const SCENARIOS: [&str; 5] = [
     "reduce-nan",
 ];
 
-/// `(stop, hash)` per scenario (rows) and method (columns, `METHODS` order).
+/// `(stop, hash)` per scenario (rows) and method (columns, `MethodKind::ALL` order).
 const PINS: [[(&str, u64); 11]; 5] = [
     // clean
     [
@@ -252,7 +238,7 @@ fn every_method_reproduces_its_pinned_solve() {
     pscg_par::knobs::set_gram_chunk_rows(64);
     let got: Vec<Vec<(&str, u64)>> = SCENARIOS
         .iter()
-        .map(|sc| METHODS.iter().map(|&m| run(m, sc)).collect())
+        .map(|sc| MethodKind::ALL.iter().map(|&m| run(m, sc)).collect())
         .collect();
     let same = got
         .iter()
@@ -262,7 +248,7 @@ fn every_method_reproduces_its_pinned_solve() {
         let mut table = String::new();
         for (sc, row) in SCENARIOS.iter().zip(&got) {
             table.push_str(&format!("    // {sc}\n    [\n"));
-            for (m, (stop, hash)) in METHODS.iter().zip(row) {
+            for (m, (stop, hash)) in MethodKind::ALL.iter().zip(row) {
                 table.push_str(&format!(
                     "        ({stop:?}, {hash:#018x}), // {}\n",
                     m.name()
@@ -271,7 +257,7 @@ fn every_method_reproduces_its_pinned_solve() {
             table.push_str("    ],\n");
         }
         for (si, sc) in SCENARIOS.iter().enumerate() {
-            for (mi, m) in METHODS.iter().enumerate() {
+            for (mi, m) in MethodKind::ALL.iter().enumerate() {
                 if got[si][mi] != PINS[si][mi] {
                     eprintln!(
                         "{sc} / {}: pinned {:?}, got {:?}",
@@ -291,7 +277,7 @@ fn every_method_reproduces_its_pinned_solve() {
 fn scenarios_cover_the_failing_exits() {
     let stops = |si: usize| PINS[si].iter().map(|p| p.0).collect::<Vec<_>>();
     assert!(stops(0).iter().all(|s| *s == "Converged"));
-    let pipe_pscg = METHODS
+    let pipe_pscg = MethodKind::ALL
         .iter()
         .position(|m| *m == MethodKind::PipePscg)
         .expect("PIPE-PsCG is a method");

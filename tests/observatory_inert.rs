@@ -26,22 +26,6 @@ use pscg_sparse::stencil::{poisson3d_7pt, Grid3};
 
 const S: usize = 4;
 
-fn all_methods() -> [MethodKind; 11] {
-    [
-        MethodKind::Pcg,
-        MethodKind::Pipecg,
-        MethodKind::Pipecg3,
-        MethodKind::PipecgOati,
-        MethodKind::Scg,
-        MethodKind::ScgSspmv,
-        MethodKind::Pscg,
-        MethodKind::PipeScg,
-        MethodKind::PipePscg,
-        MethodKind::Hybrid,
-        MethodKind::Cg3,
-    ]
-}
-
 /// Debug renderings of a trace's ops with interned buffer ids masked
 /// (`BufId(0)` = `ANON` is kept — anonymous vs tracked is structural).
 fn op_shapes(trace: &pscg_sim::OpTrace) -> Vec<String> {
@@ -103,7 +87,7 @@ fn aggregate_mode_and_flight_recorder_are_inert() {
 
     for threads in [1usize, 4] {
         pscg_par::set_global_threads(threads);
-        for method in all_methods() {
+        for method in MethodKind::ALL {
             // Baseline: everything off, nothing armed.
             pscg_obs::set_enabled(false);
             pscg_obs::set_mode(TelemetryMode::Full);

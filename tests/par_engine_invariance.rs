@@ -27,22 +27,6 @@ use pscg_sparse::stencil::{poisson3d_7pt, Grid3};
 
 const S: usize = 4;
 
-fn all_methods() -> [MethodKind; 11] {
-    [
-        MethodKind::Pcg,
-        MethodKind::Pipecg,
-        MethodKind::Pipecg3,
-        MethodKind::PipecgOati,
-        MethodKind::Scg,
-        MethodKind::ScgSspmv,
-        MethodKind::Pscg,
-        MethodKind::PipeScg,
-        MethodKind::PipePscg,
-        MethodKind::Hybrid,
-        MethodKind::Cg3,
-    ]
-}
-
 /// Debug renderings of a trace's ops with interned buffer ids masked
 /// (`BufId(0)` = `ANON` is kept — anonymous vs tracked is structural).
 fn op_shapes(trace: &pscg_sim::OpTrace) -> Vec<String> {
@@ -92,7 +76,7 @@ fn parallel_engine_is_invisible_to_the_analyzers() {
     pscg_par::knobs::set_spmv_chunk_nnz(256);
     pscg_par::knobs::set_gram_chunk_rows(64);
 
-    for method in all_methods() {
+    for method in MethodKind::ALL {
         pscg_par::set_global_threads(1);
         let (hist1, x1, trace1) = run(method);
         pscg_par::set_global_threads(4);
