@@ -194,7 +194,7 @@ impl std::fmt::Display for StructureViolation {
 }
 
 /// Reductions outside the iteration loop that every solver is allowed:
-/// reference-norm of `b`, `estimate_sigma`, and initial-residual setup.
+/// reference-norm of `b`, the basis-scale estimate, and initial-residual setup.
 const SETUP_ALLOWANCE: usize = 4;
 
 /// Checks a recorded trace against the Table I shape of `kind` at

@@ -18,14 +18,16 @@
 //! PIPELCG.
 //!
 //! The depth-2 methods (PIPECG-OATI, PIPECG3) and the hybrid driver reuse
-//! this core through [`PipeConfig`].
+//! this core through [`PipeConfig`]; PIPE-sCG (Algorithm 5) is the same loop
+//! over an unpreconditioned chain, where `u ≡ r` collapses the dual lists
+//! and families to one (`crate::sstep::PowerBasis`).
 
 use pscg_obs::StagnationConfig;
 use pscg_sim::Context;
 
 use crate::driver::Driver;
 use crate::solver::{SolveOptions, SolveResult, StopReason};
-use crate::sstep::{diverged, Chain, DirBlocks, GramPacket, GramPacketBuf, PowerBasis, ScalarWork};
+use crate::sstep::{diverged, Chain, GramPacket, GramPacketBuf, PowerBasis, ScalarWork};
 
 /// Stagnation rule: stop with [`StopReason::Stagnated`] when the relative
 /// residual improved by less than `min_ratio` over the last `window`
@@ -108,16 +110,16 @@ pub(crate) fn solve_chain<C: Context>(
     // Alg. 6 lines 7–10: r₀, u₀ and the first s powers of the list(s), of
     // 2s + 1 columns; the recurrence phase advances them in place.
     let mut basis = PowerBasis::new(ctx, chain, &r, s, 2 * s);
-    let dual = chain == Chain::Preconditioned;
 
     // Direction blocks (paper's P/Q, and P2/Q2) with their A-power families
     // (AQm[j] = (M⁻¹A)^{j+1}·udirs, AQ2m[j] = (AM⁻¹)^{j+1}·rdirs), and the
     // scratch of a replacement pass, which only the preconditioned methods
     // take.
-    let mut blocks: Vec<DirBlocks> = (0..if dual { 2 } else { 1 })
-        .map(|_| DirBlocks::new(ctx, s))
-        .collect();
-    let mut ax = if dual { ctx.alloc_vec() } else { Vec::new() };
+    let mut blocks = basis.dir_blocks(ctx, s);
+    let mut ax = match chain {
+        Chain::Preconditioned => ctx.alloc_vec(),
+        Chain::Plain | Chain::Mpk => Vec::new(),
+    };
 
     // Lines 11–12: local dot products and the non-blocking allreduce.
     let mut packet = GramPacketBuf::new(s);

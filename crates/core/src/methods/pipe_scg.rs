@@ -15,10 +15,9 @@
 
 use pscg_sim::Context;
 
-use crate::driver::Driver;
 use crate::methods::pipe_pscg::{self, PipeConfig};
-use crate::solver::{SolveOptions, SolveResult, StopReason};
-use crate::sstep::{Chain, DirBlocks, GramPacket, GramPacketBuf, PowerBasis, ScalarWork};
+use crate::solver::{SolveOptions, SolveResult};
+use crate::sstep::Chain;
 
 /// Solves `A x = b` with PIPE-sCG. `x0` defaults to zero.
 pub fn solve<C: Context>(
@@ -64,6 +63,9 @@ pub fn solve_mpk<C: Context>(
 #[cfg(any(test, feature = "broken-variants"))]
 pub mod broken {
     use super::*;
+    use crate::driver::Driver;
+    use crate::solver::StopReason;
+    use crate::sstep::{GramPacket, GramPacketBuf, PowerBasis, ScalarWork};
     use pscg_sim::ReduceHandle;
 
     /// Which scheduling mistake to inject.
@@ -103,7 +105,7 @@ pub mod broken {
         assert!(s >= 1, "PIPE-sCG requires s >= 1");
         let (mut drv, r) = Driver::begin(ctx, "PIPE-sCG(broken)", b, x0, opts, None);
         let mut basis = PowerBasis::new(ctx, Chain::Plain, &r, s, 2 * s);
-        let mut blocks = [DirBlocks::new(ctx, s)];
+        let mut blocks = basis.dir_blocks(ctx, s);
         let mut packet = GramPacketBuf::new(s);
         basis.gram_packet(ctx, &blocks[0].dirs, &mut packet);
         let mut pending = post(ctx, packet.flat(), mode);

@@ -134,7 +134,7 @@ pub(crate) struct DirBlocks {
 
 impl DirBlocks {
     /// Zero blocks: `s` direction columns and `s + 1` A-power blocks.
-    pub(crate) fn new<C: Context>(ctx: &mut C, s: usize) -> Self {
+    fn new<C: Context>(ctx: &mut C, s: usize) -> Self {
         DirBlocks {
             dirs: ctx.alloc_multi(s),
             apow: (0..=s).map(|_| ctx.alloc_multi(s)).collect(),
@@ -205,6 +205,13 @@ impl PowerBasis {
         (self.upow.as_ref().unwrap_or(&self.rpow), &self.rpow)
     }
 
+    /// Zero [`DirBlocks`] for the pipelined recurrences, one per list:
+    /// the u-type blocks, then (dual lists) the r-type ones.
+    pub(crate) fn dir_blocks<C: Context>(&self, ctx: &mut C, s: usize) -> Vec<DirBlocks> {
+        let lists = if self.upow.is_some() { 2 } else { 1 };
+        (0..lists).map(|_| DirBlocks::new(ctx, s)).collect()
+    }
+
     /// The residual column `rpow[0]`.
     pub(crate) fn residual_mut(&mut self) -> &mut [f64] {
         self.rpow.col_mut(0)
@@ -268,9 +275,9 @@ impl PowerBasis {
     }
 
     /// The recurrence phase of one pipelined iteration
-    /// ([`Context::block_recurrence_step`]) over one family per list —
-    /// `blocks` holds the u-type blocks, then (dual basis) the r-type ones —
-    /// followed by `x += Q·(σα)`. `shift` and `extra_vma_flops_per_row` as
+    /// ([`Context::block_recurrence_step`]) over one family per list
+    /// (`blocks` from [`PowerBasis::dir_blocks`]), followed by
+    /// `x += Q·(σα)`. `shift` and `extra_vma_flops_per_row` as
     /// in [`RecurrenceStep`].
     pub(crate) fn recurrence_step<C: Context>(
         &mut self,

@@ -12,7 +12,6 @@
 //! | pass | catches |
 //! |---|---|
 //! | `nan-clamp` | clamp idioms that map NaN into fake in-range values |
-//! | `unguarded-convergence` | convergence tests with no preceding trust check |
 //! | `panic-in-hot-path` | unwrap/expect/panic!/indexing asserts in solver code |
 //! | `unsafe-without-safety` | `unsafe` without an adjacent `SAFETY:` argument |
 //! | `float-eq` | exact `==`/`!=` on float expressions outside tests |

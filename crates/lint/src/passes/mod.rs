@@ -11,7 +11,6 @@ pub mod nan_clamp;
 pub mod nondet_iteration;
 pub mod panic_hot_path;
 pub mod registry;
-pub mod unguarded_convergence;
 pub mod unsafe_safety;
 
 use crate::engine::{Finding, Workspace};
@@ -32,7 +31,6 @@ pub trait Pass {
 pub fn all_passes() -> Vec<Box<dyn Pass>> {
     vec![
         Box::new(nan_clamp::NanClamp),
-        Box::new(unguarded_convergence::UnguardedConvergence),
         Box::new(panic_hot_path::PanicHotPath),
         Box::new(unsafe_safety::UnsafeWithoutSafety),
         Box::new(float_eq::FloatEq),

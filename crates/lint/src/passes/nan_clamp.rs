@@ -80,7 +80,7 @@ impl Pass for NanClamp {
                         format!(
                             ".{method}(…).sqrt(): a NaN-poisoned value is clamped into a fake \
                              in-range norm; use the NaN-preserving helpers \
-                             (methods::relres_from_sq / norm_from_sq, resilience::true_relres)"
+                             (driver::relres_from_sq, methods::norm_from_sq, resilience::true_relres)"
                         ),
                     ));
                     continue;

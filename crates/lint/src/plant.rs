@@ -11,9 +11,8 @@ pub const PLANT_PATH: &str = "crates/core/src/methods/__planted__.rs";
 
 /// Passes the plant must trigger (the code passes; registry passes audit
 /// real files and are gated by their own drift tests).
-pub const PLANTED_PASSES: [&str; 6] = [
+pub const PLANTED_PASSES: [&str; 5] = [
     "nan-clamp",
-    "unguarded-convergence",
     "panic-in-hot-path",
     "unsafe-without-safety",
     "float-eq",
@@ -25,14 +24,11 @@ pub const PLANTED_PASSES: [&str; 6] = [
 pub const PLANT_SOURCE: &str = r#"
 use std::collections::HashMap;
 
-fn planted_solver(norm_sq: f64, bnorm: f64, threshold: f64, vals: &[f64]) -> f64 {
+fn planted_solver(norm_sq: f64, bnorm: f64, vals: &[f64]) -> f64 {
     let relres = norm_sq.max(0.0).sqrt() / bnorm;
-    if relres < threshold {
-        return relres;
-    }
     let first = vals.first().unwrap();
     if *first == 0.0 {
-        return 0.0;
+        return relres;
     }
     let mut slots: HashMap<u64, f64> = HashMap::new();
     slots.insert(1, *first);

@@ -86,16 +86,6 @@ fn nan_clamp_fixture() {
 }
 
 #[test]
-fn unguarded_convergence_fixture() {
-    check_fixture(
-        "unguarded_convergence.rs",
-        "crates/core/src/methods/__fixture_unguarded__.rs",
-        "unguarded-convergence",
-        1,
-    );
-}
-
-#[test]
 fn panic_hot_path_fixture() {
     check_fixture(
         "panic_hot_path.rs",
