@@ -3,7 +3,7 @@
 //! No other test compares results *across commits* — the determinism suites
 //! compare a run with another run of the same build. This one pins, for all
 //! eleven methods on one small integer-data problem (7-point Poisson 8³,
-//! integer `x*`, Jacobi, s = 3; nothing in the set-up touches libm), the
+//! integer `x*`, s = 3; nothing in the set-up touches libm), the
 //! stop reason and a 64-bit hash of everything else a refactor of the method
 //! loops must leave alone: the iteration count, the residual history and
 //! the solution bit for bit, every counter, the recovery log, and the traced
@@ -11,13 +11,17 @@
 //! reason is pinned beside the hash, not in it, so a relabelled exit shows
 //! as exactly that.
 //!
-//! Five scenarios per method: a clean solve; an unreachable tolerance (the
+//! Seven scenarios per method, the first five under Jacobi: a clean solve;
+//! an unreachable tolerance (the
 //! s-step recurrences end in breakdown, stagnation handoff or `max_iters`);
 //! a rank death mid-solve with checkpoints armed (`RankFailed`, and a
 //! rollback on the way out); a NaN preconditioner output plus an over-budget
 //! delayed completion with drift probes armed (`Breakdown` / `CommFault`);
 //! and a NaN in one reduction payload, which for the s-step methods lands
 //! in the Gram block and fails the scalar work behind a finite residual.
+//! The last two are clean solves under geometric (`MG`) and
+//! smoothed-aggregation (`GAMG`) multigrid, which both build two levels on
+//! this grid, so a change to the V-cycle shows here too.
 //!
 //! A pin may only change in a commit that says why. Run under
 //! `PSCG_THREADS=1` and `PSCG_THREADS=4` the table is also a
@@ -26,20 +30,22 @@
 use pipescg::methods::MethodKind;
 use pipescg::solver::{Resilience, SolveOptions};
 use pscg_fault::{FaultAction, FaultPlan, FaultSite};
-use pscg_precond::Jacobi;
+use pscg_precond::PcKind;
 use pscg_sim::{Layout, MatrixProfile, SimCtx};
 use pscg_sparse::stencil::{poisson3d_7pt, Grid3};
 
-const SCENARIOS: [&str; 5] = [
+const SCENARIOS: [&str; 7] = [
     "clean",
     "tight",
     "rank-dead",
     "pc-nan+late-wait",
     "reduce-nan",
+    "mg-clean",
+    "gamg-clean",
 ];
 
 /// `(stop, hash)` per scenario (rows) and method (columns, `MethodKind::ALL` order).
-const PINS: [[(&str, u64); 11]; 5] = [
+const PINS: [[(&str, u64); 11]; 7] = [
     // clean
     [
         ("Converged", 0x9a8322e15154ef0e), // PCG
@@ -110,6 +116,34 @@ const PINS: [[(&str, u64); 11]; 5] = [
         ("Converged", 0x476fd901e3dbd78d), // Hybrid-pipelined
         ("Breakdown", 0x5cfaff2db6558380), // CG3
     ],
+    // mg-clean
+    [
+        ("Converged", 0x6257d5c6bb108ada), // PCG
+        ("Converged", 0x225878bac585d95a), // PIPECG
+        ("Converged", 0x661ab5a7a3046350), // PIPECG3
+        ("Converged", 0x98d6b7d407461a86), // PIPECG-OATI
+        ("Converged", 0x5ea3cd5d9362e5e2), // sCG
+        ("Converged", 0xd63554d33602f206), // sCG-sSPMV
+        ("Converged", 0xf6f3c5d9cc9c20ac), // PsCG
+        ("Converged", 0x453a868017958045), // PIPE-sCG
+        ("Converged", 0x9236b4a94ee95d80), // PIPE-PsCG
+        ("Converged", 0x932bbbbe28b77f48), // Hybrid-pipelined
+        ("Converged", 0x9e7787f993276f54), // CG3
+    ],
+    // gamg-clean
+    [
+        ("Converged", 0x770e0b20d0e3492b), // PCG
+        ("Converged", 0x59e0c1f0fca5b220), // PIPECG
+        ("Converged", 0xe830b1a3d5e1f69d), // PIPECG3
+        ("Converged", 0x259d8b13cedc51e7), // PIPECG-OATI
+        ("Converged", 0x30d92f509022d7aa), // sCG
+        ("Converged", 0x971612a53c37387d), // sCG-sSPMV
+        ("Converged", 0x60b45851ad64c32f), // PsCG
+        ("Converged", 0xea433ace27fed92d), // PIPE-sCG
+        ("Converged", 0x3ff2e031a4f2155a), // PIPE-PsCG
+        ("Converged", 0x8a38d5e7a8c37362), // Hybrid-pipelined
+        ("Converged", 0x2b9441b99b50f242), // CG3
+    ],
 ];
 
 /// FNV-1a over 64-bit words.
@@ -161,7 +195,7 @@ fn options(scenario: &str) -> (SolveOptions, Option<FaultPlan>) {
     };
     let base = SolveOptions::with_rtol(1e-6).with_s(3);
     match scenario {
-        "clean" => (base, None),
+        "clean" | "mg-clean" | "gamg-clean" => (base, None),
         "tight" => (
             SolveOptions {
                 rtol: 1e-15,
@@ -192,11 +226,17 @@ fn options(scenario: &str) -> (SolveOptions, Option<FaultPlan>) {
 }
 
 fn run(method: MethodKind, scenario: &str) -> (&'static str, u64) {
-    let a = poisson3d_7pt(Grid3::cube(8), None);
+    let grid = Grid3::cube(8);
+    let a = poisson3d_7pt(grid, None);
     let xstar: Vec<f64> = (0..a.nrows()).map(|i| (i % 7) as f64 - 3.0).collect();
     let b = a.mul_vec(&xstar);
     let prof = MatrixProfile::stencil3d(8, 8, 8, 1, a.nnz(), Layout::Box);
-    let mut ctx = SimCtx::traced(&a, Box::new(Jacobi::new(&a)), prof);
+    let pc = match scenario {
+        "mg-clean" => PcKind::Mg.build(&a, Some(grid)),
+        "gamg-clean" => PcKind::Gamg.build(&a, None),
+        _ => PcKind::Jacobi.build(&a, None),
+    };
+    let mut ctx = SimCtx::traced(&a, pc, prof);
     let (opts, plan) = options(scenario);
     if let Some(plan) = plan {
         ctx.arm_faults(plan);
@@ -284,4 +324,5 @@ fn scenarios_cover_the_failing_exits() {
     assert_ne!(stops(1)[pipe_pscg], "Converged");
     assert!(stops(2).iter().all(|s| *s == "RankFailed"));
     assert!(stops(3).contains(&"CommFault") && stops(3).contains(&"Breakdown"));
+    assert!(stops(5).iter().chain(&stops(6)).all(|s| *s == "Converged"));
 }
