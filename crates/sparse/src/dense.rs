@@ -364,10 +364,21 @@ pub struct LuFactors {
 impl LuFactors {
     /// Solves `A x = b`.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        assert_eq!(b.len(), self.n, "LuFactors::solve: dimension mismatch");
+        let mut x = vec![0.0; self.n];
+        self.solve_into(b, &mut x);
+        x
+    }
+
+    /// Solves `A x = b` into `x` without allocating (`x` must not alias
+    /// `b`); [`Self::solve`] is this into a fresh vector.
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
+        assert_eq!(b.len(), self.n, "LuFactors::solve_into: dimension mismatch");
+        assert_eq!(x.len(), self.n, "LuFactors::solve_into: dimension mismatch");
         let n = self.n;
         // Apply the row permutation, then forward/back substitution.
-        let mut x: Vec<f64> = self.piv.iter().map(|&p| b[p]).collect();
+        for (xi, &p) in x.iter_mut().zip(&self.piv) {
+            *xi = b[p];
+        }
         for i in 1..n {
             let mut acc = x[i];
             for k in 0..i {
@@ -382,7 +393,6 @@ impl LuFactors {
             }
             x[i] = acc / self.lu[i * n + i];
         }
-        x
     }
 
     /// Order of the factorised matrix.
@@ -462,6 +472,65 @@ mod tests {
         let a = DenseMatrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
         let x = a.solve(&[3.0, 7.0]).unwrap();
         assert_eq!(x, vec![7.0, 3.0]);
+    }
+
+    /// The allocating solve as it was before `solve_into` existed.
+    fn solve_reference(f: &LuFactors, b: &[f64]) -> Vec<f64> {
+        let n = f.n;
+        let mut x: Vec<f64> = f.piv.iter().map(|&p| b[p]).collect();
+        for i in 1..n {
+            let mut acc = x[i];
+            for k in 0..i {
+                acc -= f.lu[i * n + k] * x[k];
+            }
+            x[i] = acc;
+        }
+        for i in (0..n).rev() {
+            let mut acc = x[i];
+            for k in (i + 1)..n {
+                acc -= f.lu[i * n + k] * x[k];
+            }
+            x[i] = acc / f.lu[i * n + i];
+        }
+        x
+    }
+
+    #[test]
+    fn solve_into_is_bitwise_the_allocating_solve() {
+        // Small diagonal, larger off-diagonals: partial pivoting reorders
+        // most rows.
+        let n = 27;
+        let mut a = DenseMatrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                let v = if i == j {
+                    0.01 * (i + 1) as f64
+                } else {
+                    ((i * 7 + j * 13) % 17) as f64 - 8.0 + 0.1 * (i as f64).sqrt()
+                };
+                a.set(i, j, v);
+            }
+        }
+        let f = a.lu().unwrap();
+        assert!(
+            f.piv.iter().enumerate().filter(|&(i, &p)| i != p).count() > n / 2,
+            "the system must pivot"
+        );
+        let inputs: [Vec<f64>; 3] = [
+            (0..n).map(|i| ((i * 31 % 11) as f64 - 5.0) / 3.0).collect(),
+            vec![-0.0; n],
+            (0..n)
+                .map(|i| if i < 9 { -0.0 } else { 1.0 / (i as f64) })
+                .collect(),
+        ];
+        for b in &inputs {
+            let want = solve_reference(&f, b);
+            let mut got = vec![f64::NAN; n];
+            f.solve_into(b, &mut got);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want));
+            assert_eq!(bits(&f.solve(b)), bits(&want));
+        }
     }
 
     #[test]
