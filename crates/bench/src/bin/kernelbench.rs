@@ -10,10 +10,14 @@
 //! in-place recurrence pass of a PIPE-PsCG iteration with its Gram packet
 //! (`fused_step`) and the Gram packet kernel alone (`gram_packet`) — on the
 //! 7-pt Poisson stencil at `N³` (default 256³, the CI perf-smoke problem),
-//! each at every thread count in `--threads` (default `1,4`). SpMV and the
-//! last two are reported with their computed GB/s: the cost model's bytes
-//! for SpMV (DESIGN.md §12), the unique columns moved for the other two.
-//! Writes a JSON baseline (`--out`, default `BENCH_kernels.json`).
+//! and one geometric-multigrid preconditioner apply (`mg_apply`) on the
+//! 125-pt 48³ operator whatever `--grid` says, each at every thread count
+//! in `--threads` (default `1,4`). SpMV, the last two recurrence kernels and
+//! `mg_apply` are reported with their computed GB/s: the cost model's bytes
+//! for SpMV (DESIGN.md §12), the unique columns moved for the recurrence
+//! kernels, and the cost model's bytes of every sparse product the V-cycle
+//! runs for `mg_apply`. Writes a JSON baseline (`--out`, default
+//! `BENCH_kernels.json`).
 //!
 //! `--check` enforces the perf-smoke gate: parallel SpMV at the highest
 //! thread count must reach `--min-speedup` (default 1.0) over serial. The
@@ -23,8 +27,9 @@
 //! not the engine).
 //!
 //! `--baseline PATH` compares this run against a previously committed
-//! report: every (kernel, threads) cell present in both is compared, a
-//! >20% GFLOP/s drop is a regression and fails the run with exit 1. Cells whose thread count exceeds the host's cores are skipped
+//! report: every (kernel, threads) cell present in both is compared, and a
+//! GFLOP/s drop of more than 20% is a regression that fails the run with
+//! exit 1. Cells whose thread count exceeds the host's cores are skipped
 //! with an explicit log line, as is the whole comparison on a host too
 //! small to enforce anything meaningful.
 //!
@@ -44,11 +49,12 @@ use pscg_bench::microbench::{gflops_per_sec, Group};
 use pscg_bench::perf_report::spmv_model_bytes_per_nnz;
 use pscg_obs::SpanKind;
 use pscg_par::{knobs, stats::PoolStats, Pool};
+use pscg_precond::multigrid::gmg;
 use pscg_sparse::multivec::{
     fused_recurrence_step_with, gram_packet_with, GramPacketBuf, RecurrenceFamily,
 };
-use pscg_sparse::stencil::{poisson3d_7pt, Grid3};
-use pscg_sparse::{CsrMatrix, MultiVector};
+use pscg_sparse::stencil::{poisson3d_125pt, poisson3d_7pt, Grid3};
+use pscg_sparse::{CsrMatrix, MultiVector, Operator};
 
 /// One measured (kernel, thread-count) cell.
 struct Cell {
@@ -59,11 +65,13 @@ struct Cell {
     /// `spmv` only: the cost model's traffic per stored entry (DESIGN.md
     /// §12), the bytes behind its `gbps_computed`.
     bytes_per_nnz: Option<f64>,
-    /// `fused_step` and `gram_packet` only: the rows they ran on.
+    /// `fused_step`, `gram_packet` and `mg_apply` only: the rows they ran
+    /// on (for `mg_apply`, of the fine level).
     rows: Option<usize>,
-    /// Computed bytes over measured time: the model's bytes for `spmv`; for
-    /// `fused_step` and `gram_packet` each unique column counted once per
-    /// direction it moves (read, and written back if updated).
+    /// Computed bytes over measured time: the model's bytes for `spmv` and
+    /// for each sparse product of `mg_apply`; for `fused_step` and
+    /// `gram_packet` each unique column counted once per direction it moves
+    /// (read, and written back if updated).
     gbps_computed: Option<f64>,
 }
 
@@ -71,6 +79,9 @@ struct Cell {
 /// `2s² + 8s + 2` columns (66 at s = 4), so they run on a prefix of the
 /// grid that keeps them near 0.5 GB whatever `--grid` says.
 const FUSED_STEP_MAX_ROWS: usize = 1 << 20;
+
+/// Grid side of the `mg_apply` cell: the `p125-mg` benchmark operator.
+const MG_GRID: usize = 48;
 
 /// The blocks of one power family, seeded.
 struct FamilyBlocks {
@@ -233,10 +244,26 @@ fn bench_all(cfg: &Config, a: &CsrMatrix) -> Vec<Cell> {
     let fs_fl = (2 * (2 * s * s * (s + 2) + 2 * s * (s + 1)) * nf) as u64 + gp_fl;
     let fs_bytes = (2 * (2 * s * s + 7 * s + 2) * nf * 8) as f64;
 
+    // One V-cycle of geometric multigrid on the 125-pt operator, the work
+    // of a `p125-mg` preconditioner apply; its flops and bytes are those of
+    // the cycle's sparse products. The cycle runs its SpMVs on the global
+    // pool, so every cell below uses that pool.
+    let mg_grid = Grid3::cube(MG_GRID);
+    let mg_a = poisson3d_125pt(mg_grid);
+    let mut mg = gmg(&mg_a, mg_grid);
+    let mg_r: Vec<f64> = (0..mg_a.nrows()).map(|i| (i as f64 * 0.07).cos()).collect();
+    let mut mg_u = vec![0.0; mg_a.nrows()];
+    let (mut mg_fl, mut mg_bytes) = (0u64, 0.0);
+    for (rows, nnz) in mg.cycle_spmvs() {
+        mg_fl += 2 * nnz as u64;
+        mg_bytes += spmv_model_bytes_per_nnz(nnz as f64, rows as f64) * nnz as f64;
+    }
+
     let spmv_bytes_per_nnz = spmv_model_bytes_per_nnz(a.nnz() as f64, n as f64);
     let mut cells = Vec::new();
     for &t in &cfg.threads {
-        let pool = Pool::new(t);
+        pscg_par::set_global_threads(t);
+        let pool = pscg_par::global();
         warm_up(&pool, a, &x, &mut y);
         let group = Group::new(&format!("kernels_{}cube_t{t}", cfg.grid));
         // One `bench` span per measured cell (arg = thread count); inert
@@ -342,6 +369,22 @@ fn bench_all(cfg: &Config, a: &CsrMatrix) -> Vec<Cell> {
             rows: Some(nf),
             gbps_computed: Some(gp_bytes / m / 1e9),
         });
+
+        let m = {
+            let _sp = pscg_obs::span_arg(SpanKind::Bench, t as u64);
+            group.bench_flops("mg_apply", mg_a.nrows() as u64, mg_fl, || {
+                mg.apply(std::hint::black_box(&mg_r), std::hint::black_box(&mut mg_u));
+            })
+        };
+        cells.push(Cell {
+            kernel: "mg_apply",
+            threads: t,
+            median_secs: m,
+            gflops: gflops_per_sec(mg_fl, m),
+            bytes_per_nnz: None,
+            rows: Some(mg_a.nrows()),
+            gbps_computed: Some(mg_bytes / m / 1e9),
+        });
     }
     cells
 }
@@ -406,7 +449,14 @@ fn write_json(
     let _ = writeln!(out, "  ],");
     let _ = writeln!(out, "  \"speedup_vs_serial\": {{");
     let tmax = *cfg.threads.iter().max().unwrap();
-    let kernels = ["spmv", "gram", "fused_update", "fused_step", "gram_packet"];
+    let kernels = [
+        "spmv",
+        "gram",
+        "fused_update",
+        "fused_step",
+        "gram_packet",
+        "mg_apply",
+    ];
     for (i, k) in kernels.iter().enumerate() {
         let comma = if i + 1 < kernels.len() { "," } else { "" };
         let key = cell_key(k, tmax);
