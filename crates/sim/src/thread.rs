@@ -14,6 +14,16 @@
 //!   order), so results are identical run to run and independent of thread
 //!   scheduling.
 //!
+//! A waiting rank does not go to sleep first: it polls an atomic completion
+//! hint (spin, then yield: the `SPIN_*` budgets) and parks on a condvar only
+//! when the data is still missing after that budget, so a reduction or halo
+//! message that arrives within microseconds costs no scheduler wake-up. The
+//! authoritative state stays under one mutex per collective table and per
+//! mailbox (DESIGN.md §9.5 has the protocol). Steady-state communication
+//! allocates nothing except the `Vec` a reduction hands back. A rank that
+//! panics poisons the world, so its peers stop waiting and [`run_spmd`]
+//! re-raises the panic instead of hanging.
+//!
 //! [`RankCtx`] implements [`Context`] on top of this runtime, so the *same
 //! solver code* that produces the scaling figures under [`SimCtx`] runs here
 //! as a genuinely distributed program; integration tests assert the two
@@ -21,8 +31,8 @@
 //!
 //! [`SimCtx`]: crate::context::SimCtx
 
-use std::collections::HashMap;
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use pscg_obs as obs;
 use pscg_obs::SpanKind;
@@ -32,30 +42,161 @@ use pscg_sparse::{kernels, CsrMatrix};
 use crate::context::{Context, OpCounters, ReduceHandle};
 use crate::trace::LocalKind;
 
-/// State of one collective operation, keyed by sequence number.
-struct ArEntry {
-    contribs: Vec<Option<Vec<f64>>>,
-    ndeposited: usize,
-    result: Option<Vec<f64>>,
-    nread: usize,
+/// Polls a waiting rank makes with `spin_loop` pauses before it starts
+/// yielding. Pausing alone is the fastest hand-off while every rank has a
+/// core of its own.
+const SPIN_PAUSES: u32 = 256;
+
+/// Total polls (pauses, then `yield_now`s) before a waiting rank parks on
+/// the condvar. The yields are what keep an oversubscribed world fast: with
+/// 8192 pure pauses and no yield, `tests/cross_engine.rs` (up to p = 7 ranks
+/// on 2 cores) ran 10× slower (0.012 s → 0.12 s), because a spinning waiter
+/// holds the core the rank it waits for needs. On a 2-core host the whole
+/// budget lasts 1.3–1.5 ms with one or two waiters, 5–8 ms with three.
+const SPIN_POLLS: u32 = 4096;
+
+/// Collectives a world can have in flight before its table grows. Only a
+/// rank's own unwaited posts keep one open, so the solvers need two or three.
+const AR_SLOTS: usize = 8;
+
+/// Messages each halo neighbour can have in flight in a mailbox before it
+/// grows: at most two when the exchange is symmetric, because a rank cannot
+/// send tag `t + 2` before receiving its neighbour's `t + 1`, which the
+/// neighbour sends only after consuming `t`.
+const HALO_DEPTH: usize = 2;
+
+/// Locks one of the world's mutexes. Every assert under these locks runs
+/// before the first write, so a rank that panics holding one leaves the
+/// state as it was; the world's poison flag, not the mutex's, reports that
+/// panic — with the rank that raised it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-#[derive(Default)]
-struct ArState {
-    ops: HashMap<u64, ArEntry>,
+/// Index of the first entry of `v` that `free` accepts; pushes `fresh()`
+/// when none does. Entries are reused, so `v` only grows to its peak use.
+fn free_slot<T>(v: &mut Vec<T>, free: impl Fn(&T) -> bool, fresh: impl FnOnce() -> T) -> usize {
+    v.iter().position(free).unwrap_or_else(|| {
+        v.push(fresh());
+        v.len() - 1
+    })
+}
+
+/// A condvar that counts its sleepers, so a notify with nobody parked costs
+/// no futex syscall. `sleepers` is only touched under the paired mutex.
+struct Bell {
+    cv: Condvar,
+    sleepers: AtomicUsize,
+}
+
+impl Bell {
+    fn new() -> Self {
+        Bell {
+            cv: Condvar::new(),
+            sleepers: AtomicUsize::new(0),
+        }
+    }
+
+    /// Parks on the condvar; `g` guards the paired mutex.
+    fn park<'a, T>(&self, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        self.sleepers.fetch_add(1, Ordering::Relaxed);
+        let g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
+        self.sleepers.fetch_sub(1, Ordering::Relaxed);
+        g
+    }
+
+    /// Wakes every sleeper; the caller holds the paired mutex.
+    fn ring(&self) {
+        if self.sleepers.load(Ordering::Relaxed) > 0 {
+            self.cv.notify_all();
+        }
+    }
+}
+
+/// The spin-then-yield budget of one wait.
+struct Backoff {
+    polls: u32,
+}
+
+impl Backoff {
+    fn new() -> Self {
+        Backoff { polls: 0 }
+    }
+
+    fn exhausted(&self) -> bool {
+        self.polls >= SPIN_POLLS
+    }
+
+    /// Polls `hint` until it holds, a peer has panicked or the budget is
+    /// spent.
+    fn spin(&mut self, world: &World, hint: impl Fn() -> bool) {
+        while !self.exhausted() && !hint() && !world.poisoned() {
+            if self.polls < SPIN_PAUSES {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+            self.polls += 1;
+        }
+    }
+}
+
+/// One collective in flight. The buffers are the `Vec`s the posting ranks
+/// allocated; they come back as the results, so the table itself never
+/// allocates after the world is built.
+struct ArSlot {
+    seq: u64,
+    /// Contributions by rank; once all are in, each holds the sums.
+    bufs: Vec<Option<Vec<f64>>>,
+    len: usize,
+    /// Contributions deposited; 0 marks a free slot.
+    posted: usize,
+    /// Results handed back.
+    taken: usize,
+}
+
+impl ArSlot {
+    fn new(p: usize) -> Self {
+        ArSlot {
+            seq: 0,
+            bufs: (0..p).map(|_| None).collect(),
+            len: 0,
+            posted: 0,
+            taken: 0,
+        }
+    }
+}
+
+/// One buffered point-to-point message. The slot keeps its source and its
+/// storage after delivery, so that neighbour's next message reuses both.
+struct Message {
+    src: usize,
+    tag: u64,
+    full: bool,
+    data: Vec<f64>,
 }
 
 struct Mailbox {
-    slots: Mutex<HashMap<(usize, u64), Vec<f64>>>,
-    cv: Condvar,
+    inbox: Mutex<Vec<Message>>,
+    bell: Bell,
+    /// Messages ever delivered here: the hint a waiting receiver polls.
+    arrivals: AtomicU64,
 }
 
 /// The shared communication world for `p` ranks.
 pub struct World {
     p: usize,
-    ar: Mutex<ArState>,
-    ar_cv: Condvar,
+    ar: Mutex<Vec<ArSlot>>,
+    ar_bell: Bell,
+    /// Collectives completed. They complete in sequence order — the last
+    /// post of `seq` means every rank has posted everything before it — so
+    /// `ar_done > seq` is the hint that `seq` is done. Like `arrivals`, it
+    /// is written under the mutex and read `Relaxed`: it publishes no data,
+    /// because a waiter reads the state it hints at under the mutex.
+    ar_done: AtomicU64,
     mail: Vec<Mailbox>,
+    /// `1 + rank` of the first rank that panicked, 0 while none has.
+    poison: AtomicUsize,
 }
 
 impl World {
@@ -64,14 +205,17 @@ impl World {
         assert!(p > 0, "world needs at least one rank");
         World {
             p,
-            ar: Mutex::new(ArState::default()),
-            ar_cv: Condvar::new(),
+            ar: Mutex::new((0..AR_SLOTS).map(|_| ArSlot::new(p)).collect()),
+            ar_bell: Bell::new(),
+            ar_done: AtomicU64::new(0),
             mail: (0..p)
                 .map(|_| Mailbox {
-                    slots: Mutex::new(HashMap::new()),
-                    cv: Condvar::new(),
+                    inbox: Mutex::new(Vec::new()),
+                    bell: Bell::new(),
+                    arrivals: AtomicU64::new(0),
                 })
                 .collect(),
+            poison: AtomicUsize::new(0),
         }
     }
 
@@ -80,76 +224,180 @@ impl World {
         self.p
     }
 
-    /// Deposits this rank's contribution to collective `seq`; does not block.
-    fn ar_post(&self, seq: u64, rank: usize, vals: &[f64]) {
-        let mut st = self.ar.lock().unwrap();
-        let entry = st.ops.entry(seq).or_insert_with(|| ArEntry {
-            contribs: vec![None; self.p],
-            ndeposited: 0,
-            result: None,
-            nread: 0,
+    fn poisoned(&self) -> bool {
+        self.poison.load(Ordering::Relaxed) != 0
+    }
+
+    /// Panics if a peer rank has panicked: the collective or message this
+    /// rank waits for may never come.
+    fn check_peers(&self) {
+        let origin = self.poison.load(Ordering::Relaxed);
+        if origin != 0 {
+            panic!("peer rank {} panicked", origin - 1); // pscg-lint: allow(panic-in-hot-path, a peer's panic ends the SPMD program; waiting on would hang run_spmd)
+        }
+    }
+
+    /// Records that `rank` panicked (the first such rank is kept) and wakes
+    /// every parked rank so it can see it. Runs during unwinding, so it must
+    /// not panic itself.
+    fn poison(&self, rank: usize) {
+        let _ = self
+            .poison
+            .compare_exchange(0, rank + 1, Ordering::Relaxed, Ordering::Relaxed);
+        {
+            let _g = lock(&self.ar);
+            self.ar_bell.cv.notify_all();
+        }
+        for mb in &self.mail {
+            let _g = lock(&mb.inbox);
+            mb.bell.cv.notify_all();
+        }
+    }
+
+    /// The rank that panicked first, if any.
+    fn panicked_rank(&self) -> Option<usize> {
+        self.poison.load(Ordering::Relaxed).checked_sub(1)
+    }
+
+    /// Deposits this rank's contribution to collective `seq`; does not
+    /// block. `vals` becomes the buffer the result is returned in.
+    fn ar_post(&self, seq: u64, rank: usize, vals: Vec<f64>) {
+        let mut slots = lock(&self.ar);
+        let live = slots.iter().position(|s| s.posted > 0 && s.seq == seq);
+        let i = live.unwrap_or_else(|| {
+            let i = free_slot(&mut slots, |s| s.posted == 0, || ArSlot::new(self.p));
+            slots[i].seq = seq;
+            slots[i].len = vals.len();
+            i
         });
+        let slot = &mut slots[i];
         // pscg-lint: allow(panic-in-hot-path, double-posting is an engine protocol bug; this assert is its detection oracle)
         assert!(
-            entry.contribs[rank].is_none(),
+            slot.bufs[rank].is_none(),
             "rank {rank} double-posted collective {seq}"
         );
-        entry.contribs[rank] = Some(vals.to_vec());
-        entry.ndeposited += 1;
-        if entry.ndeposited == self.p {
-            // Deterministic combine: sum in rank order.
-            let mut acc = vec![0.0f64; vals.len()];
-            for c in entry.contribs.iter() {
-                let c = c.as_ref().expect("all contributions present"); // pscg-lint: allow(panic-in-hot-path, ndeposited == p guarantees every contribution slot is filled)
-                assert_eq!(c.len(), acc.len(), "mismatched allreduce payload lengths");
-                for (a, v) in acc.iter_mut().zip(c) {
-                    *a += v;
+        assert_eq!(slot.len, vals.len(), "mismatched allreduce payload lengths");
+        slot.bufs[rank] = Some(vals);
+        slot.posted += 1;
+        if slot.posted == self.p {
+            // Deterministic combine: each element summed in rank order from
+            // 0.0, then written back to every rank's buffer.
+            for k in 0..slot.len {
+                let mut acc = 0.0f64;
+                for b in slot.bufs.iter().flatten() {
+                    acc += b[k];
+                }
+                for b in slot.bufs.iter_mut().flatten() {
+                    b[k] = acc;
                 }
             }
-            entry.result = Some(acc);
-            self.ar_cv.notify_all();
+            debug_assert_eq!(self.ar_done.load(Ordering::Relaxed), seq);
+            self.ar_done.store(seq + 1, Ordering::Relaxed);
+            self.ar_bell.ring();
         }
     }
 
     /// Blocks until collective `seq` completes; returns the global sums.
-    fn ar_wait(&self, seq: u64) -> Vec<f64> {
-        let mut st = self.ar.lock().unwrap();
+    fn ar_wait(&self, seq: u64, rank: usize) -> Vec<f64> {
+        let p = self.p;
+        let mut backoff = Backoff::new();
+        let mut slots = lock(&self.ar);
         loop {
-            if st.ops.get(&seq).and_then(|e| e.result.as_ref()).is_some() {
-                break;
+            if let Some(slot) = slots
+                .iter_mut()
+                .find(|s| s.posted == p && s.seq == seq && s.bufs[rank].is_some())
+            {
+                let out = slot.bufs[rank].take().unwrap_or_default();
+                slot.taken += 1;
+                if slot.taken == p {
+                    slot.posted = 0;
+                    slot.taken = 0;
+                }
+                return out;
             }
-            st = self.ar_cv.wait(st).unwrap();
+            self.check_peers();
+            if backoff.exhausted() {
+                slots = self.ar_bell.park(slots);
+            } else {
+                drop(slots);
+                backoff.spin(self, || self.ar_done.load(Ordering::Relaxed) > seq);
+                slots = lock(&self.ar);
+            }
         }
-        let entry = st.ops.get_mut(&seq).unwrap(); // pscg-lint: allow(panic-in-hot-path, the wait loop above only exits once the entry and its result exist)
-        let out = entry.result.clone().unwrap(); // pscg-lint: allow(panic-in-hot-path, the wait loop above only exits once the entry and its result exist)
-        entry.nread += 1;
-        if entry.nread == self.p {
-            st.ops.remove(&seq);
+    }
+
+    /// Reserves room in `dst`'s mailbox for the messages `src` keeps in
+    /// flight to it, `len` values each, so the exchange allocates nothing.
+    fn reserve(&self, dst: usize, src: usize, len: usize) {
+        let mut inbox = lock(&self.mail[dst].inbox);
+        for _ in 0..HALO_DEPTH {
+            inbox.push(Message {
+                src,
+                tag: 0,
+                full: false,
+                data: Vec::with_capacity(len),
+            });
         }
-        out
     }
 
     /// Sends `data` to `dst` under `(src, tag)`; non-blocking (buffered).
-    pub fn send(&self, src: usize, dst: usize, tag: u64, data: Vec<f64>) {
+    pub fn send(&self, src: usize, dst: usize, tag: u64, data: &[f64]) {
         let mb = &self.mail[dst];
-        let mut slots = mb.slots.lock().unwrap();
-        let prev = slots.insert((src, tag), data);
+        let mut inbox = lock(&mb.inbox);
         assert!(
-            prev.is_none(),
+            !inbox.iter().any(|m| m.full && m.src == src && m.tag == tag),
             "duplicate message (src {src}, tag {tag}) to {dst}"
         );
-        mb.cv.notify_all();
+        let reserved = inbox.iter().position(|m| !m.full && m.src == src);
+        let i = reserved.unwrap_or_else(|| {
+            let fresh = || Message {
+                src,
+                tag,
+                full: false,
+                data: Vec::new(),
+            };
+            free_slot(&mut inbox, |m| !m.full, fresh)
+        });
+        let m = &mut inbox[i];
+        m.src = src;
+        m.tag = tag;
+        m.full = true;
+        m.data.clear();
+        m.data.extend_from_slice(data);
+        mb.arrivals.fetch_add(1, Ordering::Relaxed);
+        mb.bell.ring();
     }
 
-    /// Receives the message sent to `me` by `src` under `tag`; blocks.
-    pub fn recv(&self, me: usize, src: usize, tag: u64) -> Vec<f64> {
+    /// Receives the message sent to `me` by `src` under `tag` into `out`,
+    /// whose length must match; blocks.
+    pub fn recv(&self, me: usize, src: usize, tag: u64, out: &mut [f64]) {
         let mb = &self.mail[me];
-        let mut slots = mb.slots.lock().unwrap();
+        let mut backoff = Backoff::new();
+        let mut inbox = lock(&mb.inbox);
         loop {
-            if let Some(data) = slots.remove(&(src, tag)) {
-                return data;
+            if let Some(m) = inbox
+                .iter_mut()
+                .find(|m| m.full && m.src == src && m.tag == tag)
+            {
+                assert_eq!(
+                    m.data.len(),
+                    out.len(),
+                    "message (src {src}, tag {tag}) to {me} has the wrong length"
+                );
+                out.copy_from_slice(&m.data);
+                m.full = false;
+                return;
             }
-            slots = mb.cv.wait(slots).unwrap();
+            self.check_peers();
+            if backoff.exhausted() {
+                inbox = mb.bell.park(inbox);
+            } else {
+                // Read under the lock: every later delivery bumps it.
+                let seen = mb.arrivals.load(Ordering::Relaxed);
+                drop(inbox);
+                backoff.spin(self, || mb.arrivals.load(Ordering::Relaxed) != seen);
+                inbox = lock(&mb.inbox);
+            }
         }
     }
 }
@@ -160,9 +408,10 @@ pub struct Endpoint<'w> {
     rank: usize,
     ar_seq: u64,
     p2p_tag: u64,
-    /// Local contributions of posted-but-unwaited collectives, kept so
-    /// [`Endpoint::peek_pending`] can model the read-before-wait bug class.
-    posted: HashMap<u64, Vec<f64>>,
+    /// Copies of this rank's contributions to posted-but-unwaited
+    /// collectives, kept so [`Endpoint::peek_pending`] can model the
+    /// read-before-wait bug class. `None` marks an entry free for reuse.
+    posted: Vec<(Option<u64>, Vec<f64>)>,
 }
 
 impl<'w> Endpoint<'w> {
@@ -174,7 +423,7 @@ impl<'w> Endpoint<'w> {
             rank,
             ar_seq: 0,
             p2p_tag: 0,
-            posted: HashMap::new(),
+            posted: Vec::new(),
         }
     }
 
@@ -188,19 +437,38 @@ impl<'w> Endpoint<'w> {
         self.world.nranks()
     }
 
-    /// Posts a non-blocking allreduce; returns its sequence number.
-    pub fn iallreduce(&mut self, vals: &[f64]) -> u64 {
+    /// Deposits `vals` as this rank's contribution to the next collective.
+    fn post(&mut self, vals: &[f64]) -> u64 {
         let seq = self.ar_seq;
         self.ar_seq += 1;
-        self.posted.insert(seq, vals.to_vec());
-        self.world.ar_post(seq, self.rank, vals);
+        self.world.ar_post(seq, self.rank, vals.to_vec());
+        seq
+    }
+
+    /// Posts a non-blocking allreduce; returns its sequence number.
+    pub fn iallreduce(&mut self, vals: &[f64]) -> u64 {
+        let seq = self.post(vals);
+        let i = free_slot(
+            &mut self.posted,
+            |(s, _)| s.is_none(),
+            || (None, Vec::new()),
+        );
+        let (s, copy) = &mut self.posted[i];
+        *s = Some(seq);
+        copy.clear();
+        copy.extend_from_slice(vals);
         seq
     }
 
     /// Waits for a posted allreduce.
     pub fn wait(&mut self, seq: u64) -> Vec<f64> {
-        self.posted.remove(&seq);
-        self.world.ar_wait(seq)
+        let entry = self
+            .posted
+            .iter_mut()
+            .find(|(s, _)| *s == Some(seq))
+            .expect("wait on a collective this rank has not posted or has already waited"); // pscg-lint: allow(panic-in-hot-path, waiting an unposted collective is an engine API-contract bug that would otherwise hang)
+        entry.0 = None;
+        self.world.ar_wait(seq, self.rank)
     }
 
     /// This rank's **local** contribution to a pending collective — what a
@@ -208,15 +476,16 @@ impl<'w> Endpoint<'w> {
     /// rank-dependent on `P > 1`, which is the point.
     pub fn peek_pending(&self, seq: u64) -> Vec<f64> {
         self.posted
-            .get(&seq)
+            .iter()
+            .find(|(s, _)| *s == Some(seq))
+            .map(|(_, v)| v.clone())
             .expect("peek of unknown or already-completed collective") // pscg-lint: allow(panic-in-hot-path, peeking an unknown collective is an engine API-contract bug, not a runtime fault)
-            .clone()
     }
 
     /// Blocking allreduce.
     pub fn allreduce(&mut self, vals: &[f64]) -> Vec<f64> {
-        let seq = self.iallreduce(vals);
-        self.wait(seq)
+        let seq = self.post(vals);
+        self.world.ar_wait(seq, self.rank)
     }
 
     /// Barrier: an empty allreduce.
@@ -232,37 +501,71 @@ impl<'w> Endpoint<'w> {
         t
     }
 
-    /// Sends to `dst` with an explicit tag.
-    pub fn send(&self, dst: usize, tag: u64, data: Vec<f64>) {
+    /// Sends a copy of `data` to `dst` with an explicit tag.
+    pub fn send(&self, dst: usize, tag: u64, data: &[f64]) {
         self.world.send(self.rank, dst, tag, data);
     }
 
-    /// Receives from `src` with an explicit tag.
-    pub fn recv(&self, src: usize, tag: u64) -> Vec<f64> {
-        self.world.recv(self.rank, src, tag)
+    /// Receives from `src` with an explicit tag into `out`, which must have
+    /// the message's length.
+    pub fn recv(&self, src: usize, tag: u64, out: &mut [f64]) {
+        self.world.recv(self.rank, src, tag, out);
+    }
+}
+
+/// Poisons the world when its rank's thread unwinds.
+struct PoisonOnPanic<'w> {
+    world: &'w World,
+    rank: usize,
+}
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.world.poison(self.rank);
+        }
     }
 }
 
 /// Runs `f(rank)` on `p` scoped threads and collects the results in rank
-/// order. Panics in any rank propagate.
+/// order. A panic in any rank propagates: the first rank to panic poisons
+/// the world, every rank waiting on a peer panics with "peer rank N
+/// panicked" instead of hanging, and the first panic is re-raised here.
 pub fn run_spmd<R, F>(p: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize, &World) -> R + Sync,
 {
     let world = World::new(p);
-    let mut out: Vec<Option<R>> = (0..p).map(|_| None).collect();
-    std::thread::scope(|scope| {
+    let joined: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
         let world = &world;
         let f = &f;
         let handles: Vec<_> = (0..p)
-            .map(|rank| scope.spawn(move || f(rank, world)))
+            .map(|rank| {
+                scope.spawn(move || {
+                    let _guard = PoisonOnPanic { world, rank };
+                    f(rank, world)
+                })
+            })
             .collect();
-        for (slot, h) in out.iter_mut().zip(handles) {
-            *slot = Some(h.join().expect("SPMD rank panicked")); // pscg-lint: allow(panic-in-hot-path, propagates a rank panic to the harness; masking would hide the failure)
-        }
+        handles.into_iter().map(|h| h.join()).collect()
     });
-    out.into_iter().map(|r| r.unwrap()).collect() // pscg-lint: allow(panic-in-hot-path, every slot is filled by the join loop above)
+    let origin = world.panicked_rank();
+    let mut first_panic = None;
+    let mut out = Vec::with_capacity(p);
+    for (rank, r) in joined.into_iter().enumerate() {
+        match r {
+            Ok(v) => out.push(v),
+            Err(payload) if first_panic.is_none() || origin == Some(rank) => {
+                first_panic = Some(payload);
+            }
+            Err(_) => {}
+        }
+    }
+    if let Some(payload) = first_panic {
+        std::panic::resume_unwind(payload);
+    }
+    out
 }
 
 /// Local preconditioners available to the distributed engine. (Global
@@ -290,6 +593,9 @@ pub struct RankCtx<'w, 'a> {
     /// read, so the communication volume is the true halo volume; the full
     /// allocation just keeps global column indexing simple.
     xbuf: Vec<f64>,
+    /// Per-neighbour halo buffers, in `plan.send` / `plan.recv` order.
+    sendbuf: Vec<Vec<f64>>,
+    recvbuf: Vec<Vec<f64>>,
     counters: OpCounters,
 }
 
@@ -307,12 +613,18 @@ impl<'w, 'a> RankCtx<'w, 'a> {
         if let LocalPc::Jacobi(d) = &pc {
             assert_eq!(d.len(), hi - lo, "Jacobi diagonal must be the local slice");
         }
+        let plan = full_plan.ranks[rank].clone();
+        for (src, cols) in &plan.recv {
+            world.reserve(rank, *src, cols.len());
+        }
         RankCtx {
             ep: Endpoint::new(world, rank),
             a,
             lo,
             hi,
-            plan: full_plan.ranks[rank].clone(),
+            sendbuf: plan.send.iter().map(|(_, r)| vec![0.0; r.len()]).collect(),
+            recvbuf: plan.recv.iter().map(|(_, c)| vec![0.0; c.len()]).collect(),
+            plan,
             pc,
             xbuf: vec![0.0; a.ncols()],
             counters: OpCounters::default(),
@@ -369,14 +681,15 @@ impl Context for RankCtx<'_, '_> {
         // Halo exchange: push our values that neighbours need, pull ghosts.
         let tag = self.ep.next_tag();
         self.xbuf[self.lo..self.hi].copy_from_slice(x);
-        for (dst, rows) in &self.plan.send {
-            let data: Vec<f64> = rows.iter().map(|&g| x[g - self.lo]).collect();
-            self.ep.send(*dst, tag, data);
+        for ((dst, rows), buf) in self.plan.send.iter().zip(&mut self.sendbuf) {
+            for (b, &g) in buf.iter_mut().zip(rows) {
+                *b = x[g - self.lo];
+            }
+            self.ep.send(*dst, tag, buf);
         }
-        for (src, cols) in &self.plan.recv {
-            let data = self.ep.recv(*src, tag);
-            debug_assert_eq!(data.len(), cols.len());
-            for (&g, v) in cols.iter().zip(data) {
+        for ((src, cols), buf) in self.plan.recv.iter().zip(&mut self.recvbuf) {
+            self.ep.recv(*src, tag, buf);
+            for (&g, &v) in cols.iter().zip(buf.iter()) {
                 self.xbuf[g] = v;
             }
         }
@@ -513,11 +826,159 @@ mod tests {
             let mut ep = Endpoint::new(world, rank);
             let tag = ep.next_tag();
             let peer = 1 - rank;
-            ep.send(peer, tag, vec![rank as f64; 3]);
-            ep.recv(peer, tag)
+            ep.send(peer, tag, &[rank as f64; 3]);
+            let mut got = vec![0.0; 3];
+            ep.recv(peer, tag, &mut got);
+            got
         });
         assert_eq!(res[0], vec![1.0; 3]);
         assert_eq!(res[1], vec![0.0; 3]);
+    }
+
+    #[test]
+    fn more_collectives_in_flight_than_the_table_holds() {
+        // Every rank posts 3 × AR_SLOTS reductions before waiting any, in
+        // reverse order: the table grows and every sum is still right.
+        let n = 3 * AR_SLOTS;
+        let res = run_spmd(3, |rank, world| {
+            let mut ep = Endpoint::new(world, rank);
+            let hs: Vec<u64> = (0..n)
+                .map(|k| ep.iallreduce(&[(k * (rank + 1)) as f64]))
+                .collect();
+            hs.iter().rev().map(|&h| ep.wait(h)[0]).collect::<Vec<_>>()
+        });
+        for sums in res {
+            let expect: Vec<f64> = (0..n).rev().map(|k| (6 * k) as f64).collect();
+            assert_eq!(sums, expect);
+        }
+    }
+
+    #[test]
+    fn a_rank_that_arrives_past_the_spin_budget_is_waited_for_on_the_condvar() {
+        // Rank 0 sleeps 5 ms — far past the ~µs-to-ms spin and yield budget —
+        // before each of its posts and sends, so its peers take the park
+        // path on the collective table and on their mailboxes.
+        let res = run_spmd(3, |rank, world| {
+            let mut ep = Endpoint::new(world, rank);
+            let mut out = Vec::new();
+            for round in 0..3 {
+                if rank == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+                let h = ep.iallreduce(&[(rank + round) as f64, 1.0]);
+                out.push(ep.allreduce(&[rank as f64])[0]);
+                out.extend(ep.wait(h));
+                let tag = ep.next_tag();
+                let (next, prev) = ((rank + 1) % 3, (rank + 2) % 3);
+                if rank == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+                ep.send(next, tag, &[(10 * rank + round) as f64; 4]);
+                let mut got = [0.0; 4];
+                ep.recv(prev, tag, &mut got);
+                out.push(got[3]);
+            }
+            out
+        });
+        for (rank, out) in res.into_iter().enumerate() {
+            let prev = (rank + 2) % 3;
+            let expect: Vec<f64> = (0..3)
+                .flat_map(|round| {
+                    let r = round as f64;
+                    [3.0, 3.0 + 3.0 * r, 3.0, (10 * prev) as f64 + r]
+                })
+                .collect();
+            assert_eq!(out, expect, "rank {rank}");
+        }
+    }
+
+    /// Runs `f` under `run_spmd(2, …)` on a watchdog thread; returns the
+    /// panic message `run_spmd` re-raised, or fails if it hung for 3 s.
+    fn panics_within_watchdog<F>(f: F) -> String
+    where
+        F: Fn(usize, &mut Endpoint<'_>) + Send + Sync + 'static,
+    {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let watched = std::thread::spawn(move || {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_spmd(2, |rank, world| f(rank, &mut Endpoint::new(world, rank)))
+            }));
+            let msg = match r {
+                Ok(_) => String::from("run_spmd returned normally"),
+                Err(p) => p
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| p.downcast_ref::<String>().cloned())
+                    .unwrap_or_default(),
+            };
+            let _ = tx.send(msg);
+        });
+        let msg = rx
+            .recv_timeout(std::time::Duration::from_secs(3))
+            .expect("run_spmd hung after a rank panicked");
+        watched
+            .join()
+            .expect("the watchdog thread catches the panic");
+        msg
+    }
+
+    #[test]
+    fn a_rank_panic_releases_a_peer_in_a_blocking_allreduce() {
+        let msg = panics_within_watchdog(|rank, ep| {
+            if rank == 1 {
+                panic!("rank 1 fails before its first collective");
+            }
+            ep.allreduce(&[1.0]);
+        });
+        assert_eq!(msg, "rank 1 fails before its first collective");
+    }
+
+    #[test]
+    fn a_rank_panic_releases_a_peer_in_a_nonblocking_wait() {
+        let msg = panics_within_watchdog(|rank, ep| {
+            let h = ep.iallreduce(&[1.0]);
+            if rank == 1 {
+                panic!("rank 1 fails with a reduction in flight");
+            }
+            ep.iallreduce(&[2.0]);
+            ep.wait(h);
+            let h2 = ep.iallreduce(&[3.0]);
+            ep.wait(h2);
+        });
+        assert_eq!(msg, "rank 1 fails with a reduction in flight");
+    }
+
+    #[test]
+    fn a_rank_panic_releases_a_peer_in_a_halo_recv() {
+        let msg = panics_within_watchdog(|rank, ep| {
+            let tag = ep.next_tag();
+            if rank == 0 {
+                panic!("rank 0 fails before sending its halo");
+            }
+            let mut got = [0.0; 2];
+            ep.recv(0, tag, &mut got);
+        });
+        assert_eq!(msg, "rank 0 fails before sending its halo");
+    }
+
+    #[test]
+    fn a_waiting_peer_reports_which_rank_panicked() {
+        let seen = Mutex::new(String::new());
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_spmd(2, |rank, world| {
+                let mut ep = Endpoint::new(world, rank);
+                if rank == 1 {
+                    panic!("rank 1 fails");
+                }
+                let e = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    ep.allreduce(&[1.0]);
+                }))
+                .expect_err("the allreduce cannot complete");
+                *seen.lock().unwrap() = e.downcast_ref::<String>().cloned().unwrap_or_default();
+            })
+        }));
+        assert!(r.is_err());
+        assert_eq!(*seen.lock().unwrap(), "peer rank 1 panicked");
     }
 
     #[test]

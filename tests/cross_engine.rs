@@ -149,6 +149,43 @@ fn distributed_solution_actually_solves_the_system() {
 }
 
 #[test]
+fn repeated_distributed_solves_are_bitwise_identical() {
+    // Which rank finishes a reduction, and whether a waiter spins, yields or
+    // parks, changes from run to run; the numbers must not.
+    let (a, b) = problem();
+    let opts = SolveOptions {
+        rtol: 1e-8,
+        s: 3,
+        ..Default::default()
+    };
+    let (part2, plan2) = RankCtx::prepare(&a, 2);
+    let (part3, plan3) = RankCtx::prepare(&a, 3);
+    let inv_diag: Vec<f64> = a.diagonal().iter().map(|d| 1.0 / d).collect();
+    for method in [MethodKind::Pcg, MethodKind::PipePscg] {
+        for (p, part, plan) in [(2, &part2, &plan2), (3, &part3, &plan3)] {
+            let run = || {
+                run_spmd(p, |rank, world| {
+                    let (lo, hi) = part.range(rank);
+                    let pc = LocalPc::Jacobi(inv_diag[lo..hi].to_vec());
+                    let mut ctx = RankCtx::new(world, rank, &a, part, plan, pc);
+                    let res = method.solve(&mut ctx, &b[lo..hi], None, &opts);
+                    let history: Vec<u64> = res.history.iter().map(|h| h.to_bits()).collect();
+                    let x: Vec<u64> = res.x.iter().map(|v| v.to_bits()).collect();
+                    (x, history, res.iterations)
+                })
+            };
+            let first = run();
+            for k in 1..20 {
+                assert!(
+                    run() == first,
+                    "{method:?} p={p}: run {k} differs from run 0"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn single_rank_thread_engine_is_bit_identical_to_serial() {
     // With p = 1 both engines perform the same arithmetic in the same
     // order, so the results must agree exactly.
