@@ -2,21 +2,12 @@
 //! class, so CI and scripts can tell *what kind* of check failed without
 //! parsing output.
 //!
-//! The analyzer/checker binaries (`lint-table`, `repro
-//! --verify-schedule`, `repro --verify-concurrency`, `repro --verify-ir`)
-//! reserve:
-//!
-//! | code | class | meaning |
-//! |---|---|---|
-//! | 10 | [`FindingClass::Hazard`]    | overlap/collective hazard in a schedule |
-//! | 11 | [`FindingClass::Structure`] | Table I structure violation |
-//! | 12 | [`FindingClass::Probe`]     | numerical probe finding (strict mode only) |
-//! | 13 | [`FindingClass::DocTable`]  | doc method-table / cost-model disagreement |
-//! | 14 | [`FindingClass::Model`]     | model checker found a protocol violation |
-//! | 15 | [`FindingClass::Race`]      | race detector found unordered accesses |
-//! | 16 | [`FindingClass::Ir`]        | method IR failed static verification or trace conformance |
-//! | 18 | [`FindingClass::Chaos`]     | chaos campaign violation (hang or silent-wrong answer) |
-//! | 19 | [`FindingClass::Lint`]      | source lint finding (`lint-source`, `repro --lint-source`) |
+//! `repro --verify-schedule`, `--verify-concurrency`, `--verify-ir` and
+//! `--chaos` exit with [`FindingClass::exit_code`]. The registry table
+//! (code, class, meaning) is stated once, in the README's "Exit codes"
+//! section, and `tests/doc_tables.rs` checks it against [`FindingClass::ALL`].
+//! Codes 13 and 19 are retired and never reused; 17 belongs to the
+//! `perf-report --check` gate.
 //!
 //! Codes 1 (generic failure) and 2 (usage error) keep their conventional
 //! meanings. When a run produces several classes, the process exits with
@@ -36,9 +27,6 @@ pub enum FindingClass {
     /// A numerical probe finding ([`crate::probes`]) — advisory unless the
     /// caller opted into strict probes.
     Probe,
-    /// The documented method table disagrees with the cost model
-    /// ([`crate::doc_lint`]).
-    DocTable,
     /// The `pscg-check` model checker found a protocol violation.
     Model,
     /// The `pscg-check` race detector found unordered conflicting accesses.
@@ -49,25 +37,19 @@ pub enum FindingClass {
     /// The chaos campaign (`repro --chaos`) observed a resilience-contract
     /// violation: a hung method or a silently wrong accepted answer.
     Chaos,
-    /// The `pscg-lint` source scanner (`lint-source`, `repro
-    /// --lint-source`) found an unsuppressed violation of a numeric-safety
-    /// or registry-sync invariant.
-    Lint,
 }
 
 impl FindingClass {
-    /// Every finding class, in severity order (matching the doc table
-    /// above; `doc_lint::check_exit_codes` keeps the two in sync).
-    pub const ALL: [FindingClass; 9] = [
+    /// Every finding class, in severity order (the README table's row
+    /// order).
+    pub const ALL: [FindingClass; 7] = [
         FindingClass::Hazard,
         FindingClass::Structure,
         FindingClass::Probe,
-        FindingClass::DocTable,
         FindingClass::Model,
         FindingClass::Race,
         FindingClass::Ir,
         FindingClass::Chaos,
-        FindingClass::Lint,
     ];
 
     /// The reserved process exit code of this class.
@@ -76,13 +58,12 @@ impl FindingClass {
             FindingClass::Hazard => 10,
             FindingClass::Structure => 11,
             FindingClass::Probe => 12,
-            FindingClass::DocTable => 13,
             FindingClass::Model => 14,
             FindingClass::Race => 15,
             FindingClass::Ir => 16,
-            // 17 is reserved by the perf-report analyzer binary.
+            // 13 and 19 are retired; 17 is reserved by the perf-report
+            // analyzer binary.
             FindingClass::Chaos => 18,
-            FindingClass::Lint => 19,
         }
     }
 }
@@ -93,12 +74,10 @@ impl fmt::Display for FindingClass {
             FindingClass::Hazard => "hazard",
             FindingClass::Structure => "structure",
             FindingClass::Probe => "probe",
-            FindingClass::DocTable => "doc-table",
             FindingClass::Model => "model",
             FindingClass::Race => "race",
             FindingClass::Ir => "ir",
             FindingClass::Chaos => "chaos",
-            FindingClass::Lint => "lint",
         };
         write!(f, "{name}")
     }
@@ -124,8 +103,11 @@ mod tests {
         assert_eq!(dedup.len(), all.len(), "codes collide: {codes:?}");
         // Stay clear of the conventional 0/1/2 and of the shell's 126+.
         assert!(codes.iter().all(|&c| (10..=19).contains(&c)));
-        // 17 belongs to the perf-report binary, not a finding class.
-        assert!(!codes.contains(&17));
+        // 17 belongs to the perf-report binary, not a finding class; 13
+        // (doc-table) and 19 (lint) are retired and never reused.
+        for reserved in [13, 17, 19] {
+            assert!(!codes.contains(&reserved), "{reserved} is not a class code");
+        }
     }
 
     #[test]

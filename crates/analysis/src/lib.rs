@@ -18,9 +18,6 @@
 //!   and exactly which kernels hide behind each pending reduction.
 //! * [`probes`] — debug-mode numerical probes over the recorded residual
 //!   history (NaN/Inf, monotone stagnation).
-//! * [`doc_lint`] — cross-checks the human-written method table in
-//!   `pipescg::methods` module docs against `costmodel::table1()`, exposed
-//!   both as a unit test and as the `lint-table` binary for CI.
 //!
 //! The entry point is [`analyze`]; method-aware checks are
 //! [`structure::verify`].
@@ -28,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod dag;
-pub mod doc_lint;
 pub mod exit_codes;
 pub mod hazards;
 pub mod probes;

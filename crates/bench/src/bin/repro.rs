@@ -86,13 +86,6 @@
 //! sabotaged supervisor and exits 18 only when the harness both catches
 //! the planted silent-wrong answer *and* shrinks the plan to its killer
 //! line — the non-vacuousness gate for the chaos machinery itself.
-//!
-//! `--lint-source` runs the `pscg-lint` source scanner (DESIGN.md §14)
-//! over the whole workspace before anything else: every pass, inline
-//! `pscg-lint: allow(…)` suppression honored, findings printed in
-//! `path:line [pass] message` form. Any finding exits 19
-//! ([`FindingClass::Lint`]). With no experiments named, the flag runs
-//! the scan alone.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -1081,7 +1074,6 @@ fn main() {
     let mut verify_schedule = false;
     let mut verify_conc = false;
     let mut verify_ir_flag = false;
-    let mut lint_source = false;
     let mut ir_broken: Option<String> = None;
     let mut strict_probes = false;
     let mut telemetry: Option<PathBuf> = std::env::var_os("PSCG_TELEMETRY").map(PathBuf::from);
@@ -1097,7 +1089,6 @@ fn main() {
             "--verify-schedule" => verify_schedule = true,
             "--verify-concurrency" => verify_conc = true,
             "--verify-ir" => verify_ir_flag = true,
-            "--lint-source" => lint_source = true,
             "--ir-broken" => {
                 let Some(mode) = args.next() else {
                     eprintln!("--ir-broken needs a mode name or 'all'");
@@ -1163,7 +1154,7 @@ fn main() {
                 eprintln!(
                     "usage: repro [--scale ci|small|paper] [--verify-schedule] \
                      [--verify-concurrency] [--verify-ir] [--ir-broken MODE|all] \
-                     [--lint-source] [--strict-probes] \
+                     [--strict-probes] \
                      [--telemetry DIR] [--telemetry-mode full|aggregate] \
                      [--perf-report] [--fault-plan FILE] \
                      [--chaos N] [--chaos-seed S] [--chaos-plant] <experiment>...\n\
@@ -1179,7 +1170,6 @@ fn main() {
         && !verify_schedule
         && !verify_conc
         && !verify_ir_flag
-        && !lint_source
         && !perf_report
         && ir_broken.is_none()
         && telemetry.is_none()
@@ -1229,24 +1219,6 @@ fn main() {
                  (the planted specs are gated out of normal builds)"
             );
             std::process::exit(2);
-        }
-    }
-    if lint_source {
-        // The workspace root relative to this crate, resolved at compile
-        // time; matches the lint-source binary's default.
-        let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-        match pscg_lint::scan_workspace(root) {
-            Ok(report) => {
-                eprint!("{}", pscg_lint::render_text(&report));
-                if !report.findings.is_empty() {
-                    eprintln!("[repro] source lint FAILED (lint)");
-                    std::process::exit(FindingClass::Lint.exit_code());
-                }
-            }
-            Err(e) => {
-                eprintln!("[repro] lint-source: cannot scan the workspace: {e}");
-                std::process::exit(2);
-            }
         }
     }
     if verify_schedule {

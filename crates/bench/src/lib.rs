@@ -16,6 +16,7 @@
 //! `paper` scale is tractable on one core.
 
 #![warn(missing_docs)]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "tests compare exact bits"))]
 
 pub mod experiments;
 pub mod microbench;

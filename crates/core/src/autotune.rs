@@ -77,6 +77,8 @@ pub fn s_cost(
 
 /// Chooses the s in `candidates` minimising the modelled time per CG step
 /// for PIPE-PsCG on the given problem, machine and core count.
+#[expect(clippy::expect_used, reason = "costs are finite closed forms")]
+#[expect(clippy::unwrap_used, reason = "candidates asserted nonempty below")]
 pub fn best_s(
     machine: &Machine,
     profile: &MatrixProfile,
@@ -92,8 +94,8 @@ pub fn best_s(
     candidates
         .iter()
         .map(|&s| s_cost(machine, profile, p, s, pc_flops_per_row, pc_bytes_per_row))
-        .min_by(|a, b| a.total().partial_cmp(&b.total()).expect("finite costs")) // pscg-lint: allow(panic-in-hot-path, setup-time autotune; costs are finite closed forms)
-        .unwrap() // pscg-lint: allow(panic-in-hot-path, setup-time autotune over the nonempty candidate set asserted above)
+        .min_by(|a, b| a.total().partial_cmp(&b.total()).expect("finite costs"))
+        .unwrap()
 }
 
 /// Convenience: `best_s` over s ∈ 1..=8 with a Jacobi-cost preconditioner.

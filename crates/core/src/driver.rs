@@ -25,7 +25,7 @@
 use pscg_obs::{StagnationConfig, StagnationDetector};
 use pscg_sim::{Context, ReduceHandle};
 
-use crate::methods::{global_ref_norm, init_residual};
+use crate::methods::{global_ref_norm, init_residual, norm_from_sq};
 use crate::resilience::{comm_stop, wait_reduction, CheckVerdict, ResilienceState};
 use crate::solver::{SolveOptions, SolveResult, StopReason};
 use crate::telemetry;
@@ -49,20 +49,6 @@ pub(crate) struct Driver<'a> {
     history: Vec<f64>,
     iters: usize,
     stop: Option<StopReason>,
-}
-
-/// Relative residual from a reduced squared norm, preserving a non-finite
-/// input as NaN. The bare `.max(0.0).sqrt()` idiom (which exists to clamp
-/// tiny negative rounding) would silently map a *poisoned* NaN reduction
-/// to a zero residual — instant fake convergence. A NaN result instead
-/// fails the threshold comparison and trips the breakdown test.
-#[inline]
-fn relres_from_sq(norm_sq: f64, bnorm: f64) -> f64 {
-    if norm_sq.is_finite() {
-        norm_sq.max(0.0).sqrt() / bnorm
-    } else {
-        f64::NAN
-    }
 }
 
 impl<'a> Driver<'a> {
@@ -207,7 +193,9 @@ impl<'a> Driver<'a> {
 
     fn record<C: Context>(&mut self, ctx: &mut C, norms: [f64; 3], scalars: Scalars<'_>) -> f64 {
         let sq = self.opts.norm.pick_sq(norms[0], norms[1], norms[2]);
-        let relres = relres_from_sq(sq, self.bnorm);
+        // NaN-preserving: a poisoned reduction fails the threshold and trips
+        // the breakdown test instead of reading as a zero residual.
+        let relres = norm_from_sq(sq) / self.bnorm;
         self.history.push(relres);
         ctx.note_residual(relres);
         let Scalars(alpha, beta, gamma) = scalars;

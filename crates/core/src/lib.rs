@@ -32,9 +32,12 @@
 //! SPMD programs. See DESIGN.md for the full system inventory and the
 //! per-experiment index.
 
-// Indexed loops over block families mirror the paper's AQm[j] notation.
-#![allow(clippy::needless_range_loop)]
+#![allow(clippy::needless_range_loop, reason = "mirrors the paper's AQm[j]")]
 #![warn(missing_docs)]
+// Hot path: no unwrap/expect/panic! outside tests, no hash container (DESIGN.md §14).
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::disallowed_types)]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "tests compare exact bits"))]
 
 pub mod autotune;
 pub mod costmodel;

@@ -69,7 +69,6 @@ pub fn solve<C: Context>(
             1.0
         } else {
             let denom = 1.0 - (gamma * mu) / (gamma_mu_prev * rho);
-            // pscg-lint: allow(float-eq, exact-zero division guard; any nonzero denom is usable)
             if denom == 0.0 || !denom.is_finite() {
                 drv.fail(ctx, StopReason::Breakdown);
                 break;

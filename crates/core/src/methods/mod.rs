@@ -1,18 +1,22 @@
 //! The CG method family: the paper's contribution and every baseline it is
 //! evaluated against.
 //!
-//! | module | method | paper | allreduces per s steps | overlap |
-//! |---|---|---|---|---|
-//! | [`pcg`] | PCG | Alg. 1 | 3s, blocking | none |
-//! | [`pipecg`] | PIPECG | Ghysels & Vanroose \[9\] | s, non-blocking | 1 PC + 1 SPMV |
-//! | [`pipecg3`] | PIPECG3 | Eller & Gropp \[10\] | ⌈s/2⌉ | 2 PCs + 2 SPMVs |
-//! | [`pipecg_oati`] | PIPECG-OATI | Tiwari & Vadhiyar \[11\] | ⌈s/2⌉ | 2 PCs + 2 SPMVs |
-//! | [`scg`] | sCG | Alg. 2 (Chronopoulos & Gear) | 1, blocking | none (s+1 SPMVs) |
-//! | [`scg_sspmv`] | sCG with s SPMVs | Alg. 4 (contribution) | 1, blocking | none (s SPMVs) |
-//! | [`pscg`] | PsCG | Alg. 3 | 1, blocking | none (s+1 PCs/SPMVs) |
-//! | [`pipe_scg`] | PIPE-sCG | Alg. 5 (contribution) | 1, non-blocking | s SPMVs |
-//! | [`pipe_pscg`] | PIPE-PsCG | Alg. 6–7 (contribution) | 1, non-blocking | s PCs + s SPMVs |
-//! | [`hybrid`] | Hybrid-pipelined | §VI-B | — | PIPE-PsCG then PIPECG-OATI |
+//! | module | method | paper | overlap |
+//! |---|---|---|---|
+//! | [`pcg`] | PCG | Alg. 1 | none |
+//! | [`pipecg`] | PIPECG | Ghysels & Vanroose \[9\] | 1 PC + 1 SPMV |
+//! | [`pipecg3`] | PIPECG3 | Eller & Gropp \[10\] | 2 PCs + 2 SPMVs |
+//! | [`pipecg_oati`] | PIPECG-OATI | Tiwari & Vadhiyar \[11\] | 2 PCs + 2 SPMVs |
+//! | [`scg`] | sCG | Alg. 2 (Chronopoulos & Gear) | none (s+1 SPMVs) |
+//! | [`scg_sspmv`] | sCG with s SPMVs | Alg. 4 (contribution) | none (s SPMVs) |
+//! | [`pscg`] | PsCG | Alg. 3 | none (s+1 PCs/SPMVs) |
+//! | [`pipe_scg`] | PIPE-sCG | Alg. 5 (contribution) | s SPMVs |
+//! | [`pipe_pscg`] | PIPE-PsCG | Alg. 6–7 (contribution) | s PCs + s SPMVs |
+//! | [`hybrid`] | Hybrid-pipelined | §VI-B | PIPE-PsCG then PIPECG-OATI |
+//!
+//! Allreduces per `s` steps, memory and kernel counts are Table I, stated
+//! once in [`crate::costmodel::table1`] and measured against real traces by
+//! `tests/table1_validation.rs`.
 //!
 //! Every method has the same signature,
 //! `solve(ctx, b, x0, &SolveOptions) -> SolveResult`, and is written against
@@ -192,9 +196,11 @@ pub(crate) fn init_residual<C: Context>(
     (x, r)
 }
 
-/// Norm from a reduced squared norm, preserving a non-finite input as NaN:
-/// `.max(0.0)` clamps only tiny negative rounding, never a poisoned
-/// reduction (which would otherwise read as a zero norm).
+/// Norm from a reduced squared norm, preserving a non-finite input as NaN.
+/// Every squared-norm → norm site goes through here. `.max(0.0)` exists to
+/// clamp tiny negative rounding; the bare `.max(0.0).sqrt()` idiom would
+/// also map a *poisoned* NaN reduction to a zero norm — instant fake
+/// convergence.
 #[inline]
 pub(crate) fn norm_from_sq(norm_sq: f64) -> f64 {
     if norm_sq.is_finite() {
@@ -235,5 +241,14 @@ mod tests {
         assert_eq!(MethodKind::PipePscg.name(), "PIPE-PsCG");
         assert_eq!(MethodKind::PipecgOati.name(), "PIPECG-OATI");
         assert_eq!(MethodKind::figure_set().len(), 7);
+    }
+
+    #[test]
+    fn norm_from_sq_keeps_poison_and_clamps_rounding() {
+        for poisoned in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(norm_from_sq(poisoned).is_nan(), "{poisoned}");
+        }
+        assert_eq!(norm_from_sq(-1e-300).to_bits(), 0.0f64.to_bits());
+        assert_eq!(norm_from_sq(4.0), 2.0);
     }
 }

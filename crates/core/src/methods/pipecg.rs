@@ -70,7 +70,6 @@ pub fn solve<C: Context>(
         } else {
             let beta = gamma / gamma_old;
             let denom = delta - beta * gamma / alpha_old;
-            // pscg-lint: allow(float-eq, exact-zero division guard; any nonzero denom is usable)
             if denom == 0.0 || !denom.is_finite() {
                 drv.fail(ctx, StopReason::Breakdown);
                 break;

@@ -103,13 +103,9 @@ pub(crate) fn true_relres<C: Context + ?Sized>(
             norm.pick_sq(f64::NAN, red[0], red[1])
         }
     };
-    // Preserve a non-finite squared norm: `.max(0.0)` alone would clamp a
-    // poisoned NaN into a fake zero residual, and this probe is the last
-    // line of defence against accepting a corrupted iterate.
-    if !sq.is_finite() {
-        return f64::NAN;
-    }
-    sq.max(0.0).sqrt() / refn.max(f64::MIN_POSITIVE)
+    // NaN-preserving: this probe is the last line of defence against
+    // accepting a corrupted iterate.
+    crate::methods::norm_from_sq(sq) / refn.max(f64::MIN_POSITIVE)
 }
 
 /// Non-finite or negative γ-scalar breakdown guard: `(r, u)` (or any

@@ -134,7 +134,7 @@ impl Resilience {
     pub fn passive(&self) -> bool {
         self.drift_check_every == 0
             && self.checkpoint_every == 0
-            && self.stall_timeout_secs == 0.0 // pscg-lint: allow(float-eq, 0.0 is the explicit disabled sentinel, set not computed)
+            && self.stall_timeout_secs == 0.0
             && self.stall_checks == 0
     }
 }

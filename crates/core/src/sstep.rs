@@ -318,8 +318,8 @@ pub(crate) fn diverged(norms: [f64; 3]) -> impl FnOnce(f64) -> bool {
 }
 
 /// `v *= σ`, skipped for the identity scale.
+#[expect(clippy::float_cmp, reason = "sigma is set, never computed")]
 fn scale_link<C: Context>(ctx: &mut C, sigma: f64, v: &mut [f64]) {
-    // pscg-lint: allow(float-eq, exact identity-scaling skip; sigma is a set parameter, not computed)
     if sigma != 1.0 {
         ctx.scale_v(sigma, v);
     }

@@ -58,6 +58,7 @@ impl fmt::Display for Divergence {
 /// Does `op` realise `node`? `tags` carries the window-tag → runtime-handle
 /// bindings established by earlier posts; a matching `ArPost` records its
 /// binding here.
+#[expect(clippy::float_cmp, reason = "the IR states the exact charged cost")]
 fn op_matches(node: &Node, op: &Op, tags: &mut HashMap<&'static str, u64>) -> bool {
     match (&node.kind, op) {
         (NodeKind::Spmv, Op::Spmv { .. }) => true,

@@ -37,6 +37,7 @@
 //! of DESIGN.md §5.
 
 #![warn(missing_docs)]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "tests compare exact bits"))]
 
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::OnceLock;

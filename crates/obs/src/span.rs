@@ -386,6 +386,21 @@ pub fn drain() -> SpanSet {
 mod tests {
     use super::*;
 
+    #[test]
+    fn all_is_in_index_order() {
+        for (i, kind) in SpanKind::ALL.iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn parse_inverts_name() {
+        for kind in SpanKind::ALL {
+            assert_eq!(SpanKind::parse(kind.name()), Some(kind));
+        }
+        assert_eq!(SpanKind::parse("no-such-kind"), None);
+    }
+
     /// Spans and windows share process globals; the crate test lock keeps
     /// this single-writer within the test binary.
     #[test]

@@ -31,6 +31,10 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
+// Hot path: no unwrap/expect/panic! outside tests, no hash container (DESIGN.md §14).
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::disallowed_types)]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "tests compare exact bits"))]
 
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
@@ -46,6 +50,8 @@ struct JobFn(*const (dyn Fn(usize) + Sync));
 // SAFETY: the pointee is `Sync` (it is invoked from several threads) and the
 // pointer itself is only shared, never used to move the closure.
 unsafe impl Send for JobFn {}
+// SAFETY: as for `Send`: sharing the pointer only lets other threads call
+// the `Sync` closure, which `Pool::run` keeps alive while any can.
 unsafe impl Sync for JobFn {}
 
 /// One submitted job: the closure plus its index space. Progress lives in
@@ -172,7 +178,8 @@ impl Pool {
                 }
                 return;
             }
-            Err(TryLockError::Poisoned(e)) => panic!("pool submit lock poisoned: {e}"), // pscg-lint: allow(panic-in-hot-path, a poisoned submit lock means a worker already panicked; propagate, do not mask)
+            #[expect(clippy::panic, reason = "propagates a worker's poison panic")]
+            Err(TryLockError::Poisoned(e)) => panic!("pool submit lock poisoned: {e}"),
         };
         stats::PARALLEL.fetch_add(1, Ordering::Relaxed);
         // SAFETY: lifetime erasure only — the pointer is dereferenced solely
@@ -182,6 +189,7 @@ impl Pool {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f)
         };
         let epoch = {
+            #[expect(clippy::unwrap_used, reason = "propagates a worker's poison panic")]
             let mut st = self.shared.state.lock().unwrap();
             st.epoch = st.epoch.wrapping_add(1);
             // Reset progress before the new claim word becomes visible; no
@@ -207,7 +215,9 @@ impl Pool {
             f(i);
             self.shared.finish_index(epoch, njobs);
         }
+        #[expect(clippy::unwrap_used, reason = "propagates a worker's poison panic")]
         let mut st = self.shared.state.lock().unwrap();
+        #[expect(clippy::unwrap_used, reason = "propagates a worker's poison panic")]
         while self.shared.done.load(Ordering::Acquire) < njobs {
             st = self.shared.done_cv.wait(st).unwrap();
         }
@@ -222,6 +232,7 @@ impl Pool {
 
     /// Runs `f(i)` for `i in 0..njobs` and collects the results **in index
     /// order** — the ordered-combine primitive of the determinism contract.
+    #[expect(clippy::expect_used, reason = "each job writes its own slot once")]
     pub fn run_map<R, F>(&self, njobs: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -237,7 +248,7 @@ impl Pool {
         });
         slots
             .into_iter()
-            .map(|s| s.0.into_inner().expect("pool job skipped an index")) // pscg-lint: allow(panic-in-hot-path, pool contract: every index is written exactly once by its job)
+            .map(|s| s.0.into_inner().expect("pool job skipped an index"))
             .collect()
     }
 }
@@ -245,6 +256,7 @@ impl Pool {
 impl Drop for Pool {
     fn drop(&mut self) {
         {
+            #[expect(clippy::unwrap_used, reason = "propagates a worker's poison panic")]
             let mut st = self.shared.state.lock().unwrap();
             st.shutdown = true;
             self.shared.work_cv.notify_all();
@@ -301,6 +313,7 @@ impl Shared {
             done_after,
         });
         if done_after == njobs {
+            #[expect(clippy::unwrap_used, reason = "propagates a worker's poison panic")]
             let _st = self.state.lock().unwrap();
             self.done_cv.notify_all();
         }
@@ -310,6 +323,7 @@ impl Shared {
 fn worker_loop(shared: &Shared) {
     let mut seen_epoch = 0u32;
     loop {
+        #[expect(clippy::unwrap_used, reason = "propagates a worker's poison panic")]
         let (job, epoch) = {
             let mut st = shared.state.lock().unwrap();
             loop {
@@ -337,6 +351,7 @@ fn worker_loop(shared: &Shared) {
 
 /// The process-wide pool, lazily sized from `PSCG_THREADS` (default: all
 /// available cores).
+#[expect(clippy::unwrap_used, reason = "propagates a worker's poison panic")]
 pub fn global() -> Arc<Pool> {
     global_slot().lock().unwrap().clone()
 }
@@ -348,6 +363,7 @@ pub fn global_threads() -> usize {
 
 /// Replaces the global pool with one of `threads` lanes. Kernels already
 /// holding the old pool finish on it; new calls see the new size.
+#[expect(clippy::unwrap_used, reason = "propagates a worker's poison panic")]
 pub fn set_global_threads(threads: usize) {
     *global_slot().lock().unwrap() = Arc::new(Pool::new(threads));
 }
@@ -649,6 +665,7 @@ pub mod sync_trace {
             thread: thread_ordinal(),
             event,
         };
+        #[expect(clippy::unwrap_used, reason = "propagates a worker's poison panic")]
         LOG.lock().unwrap().push(rec);
     }
 
@@ -663,6 +680,7 @@ pub mod sync_trace {
     }
 
     /// Takes the accumulated records, leaving the log empty.
+    #[expect(clippy::unwrap_used, reason = "propagates a worker's poison panic")]
     pub fn drain() -> SyncTrace {
         SyncTrace {
             records: std::mem::take(&mut *LOG.lock().unwrap()),
@@ -704,6 +722,8 @@ pub struct DisjointMut<'a, T> {
 // SAFETY: range disjointness is the caller contract of `DisjointMut::range`;
 // `T: Send` values may be written from any thread.
 unsafe impl<T: Send> Send for DisjointMut<'_, T> {}
+// SAFETY: a shared `&DisjointMut` only hands out ranges through the
+// `unsafe` accessors, whose disjointness contract rules out a data race.
 unsafe impl<T: Send> Sync for DisjointMut<'_, T> {}
 
 impl<'a, T> DisjointMut<'a, T> {
@@ -737,10 +757,7 @@ impl<'a, T> DisjointMut<'a, T> {
     /// When [`sync_trace`] recording is enabled, every call logs a
     /// `BufWrite` event, so the vector-clock race detector checks exactly
     /// this contract on the observed schedule.
-    // The `&mut`-from-`&self` shape is the point of this type: it is the
-    // caller-enforced disjointness cell the chunk jobs share (same idea as
-    // `UnsafeCell`), hence the lint exemption.
-    #[allow(clippy::mut_from_ref)]
+    #[expect(clippy::mut_from_ref, reason = "a disjointness cell, as UnsafeCell")]
     #[inline]
     pub unsafe fn range(&self, lo: usize, hi: usize) -> &mut [T] {
         debug_assert!(lo <= hi && hi <= self.len);

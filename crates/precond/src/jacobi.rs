@@ -29,7 +29,7 @@ impl Jacobi {
     pub fn new(a: &CsrMatrix) -> Self {
         let diag = a.diagonal();
         assert!(
-            diag.iter().all(|&d| d != 0.0), // pscg-lint: allow(float-eq, an exactly-zero diagonal is the division hazard being excluded)
+            diag.iter().all(|&d| d != 0.0),
             "Jacobi preconditioner needs a zero-free diagonal"
         );
         Jacobi::from_inv_diag(diag.iter().map(|d| 1.0 / d).collect())

@@ -23,10 +23,8 @@
 //!   stand-in). Both build Galerkin coarse operators `PᵀAP`.
 
 #![warn(missing_docs)]
-// Indexed loops are the clearer idiom for the numerical kernels here
-// (triangular sweeps, stencil assembly); the iterator rewrites clippy
-// suggests obscure the row/column structure.
-#![allow(clippy::needless_range_loop)]
+#![allow(clippy::needless_range_loop, reason = "indexing shows the row layout")]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "tests compare exact bits"))]
 
 pub mod block_jacobi;
 pub mod ic0;

@@ -473,7 +473,6 @@ fn estimate_rho_dinv_a(a: &CsrMatrix, inv_diag: &[f64]) -> f64 {
     let mut rho = 1.0;
     for _ in 0..8 {
         let norm = pscg_sparse::kernels::norm2(&v);
-        // pscg-lint: allow(float-eq, exact-zero norm guard before normalising)
         if norm == 0.0 {
             break;
         }

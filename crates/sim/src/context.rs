@@ -18,6 +18,7 @@
 //! to charge the machine model for the recurrence-LC FLOPs that Table I of
 //! the paper accounts so carefully.
 
+#[expect(clippy::disallowed_types, reason = "keyed lookup, never iterated")]
 use std::collections::HashMap;
 
 use pscg_obs as obs;
@@ -142,13 +143,13 @@ pub trait Context {
     /// (Hoemmen's CA-SpMV). The default falls back to repeated SpMVs
     /// (numerically identical); the tracing engine overrides it to record
     /// the communication-avoiding cost.
+    #[expect(clippy::float_cmp, reason = "sigma is set, never computed")]
     fn mpk(&mut self, pow: &mut MultiVector, from: usize, to: usize, sigma: f64) {
         for j in from + 1..=to {
             {
                 let (src, dst) = pow.col_pair_mut(j - 1, j);
                 self.spmv(src, dst);
             }
-            // pscg-lint: allow(float-eq, exact identity-scaling skip; sigma is a set parameter, not computed)
             if sigma != 1.0 {
                 self.scale_v(sigma, pow.col_mut(j));
             }
@@ -608,9 +609,11 @@ pub struct SimCtx<'a> {
     pc: Box<dyn Operator + 'a>,
     counters: OpCounters,
     trace: Option<OpTrace>,
+    #[expect(clippy::disallowed_types, reason = "keyed lookup, never iterated")]
     inflight: HashMap<u64, Vec<f64>>,
     next_id: u64,
     /// Storage address → interned buffer id (tracing runs only).
+    #[expect(clippy::disallowed_types, reason = "keyed lookup, never iterated")]
     bufs: HashMap<usize, u64>,
     next_buf: u64,
     probes: Option<ProbeState>,
@@ -619,6 +622,7 @@ pub struct SimCtx<'a> {
     injector: Option<Injector>,
     /// Reductions whose completion was delayed: id → remaining backoff
     /// ticks before `try_wait` succeeds.
+    #[expect(clippy::disallowed_types, reason = "keyed lookup, never iterated")]
     delayed: HashMap<u64, u32>,
     /// Payload of the most recently completed reduction, kept only while a
     /// plan is armed — a duplicated completion delivers this stale value.
@@ -651,6 +655,7 @@ pub struct SimCtx<'a> {
 
 impl<'a> SimCtx<'a> {
     /// A plain serial context: numerics only, no trace.
+    #[expect(clippy::disallowed_types, reason = "keyed lookup, never iterated")]
     pub fn serial(a: &'a CsrMatrix, pc: Box<dyn Operator + 'a>) -> Self {
         assert_eq!(a.nrows(), a.ncols(), "solver context needs a square matrix");
         assert_eq!(pc.nrows(), a.nrows(), "preconditioner dimension mismatch");
@@ -818,10 +823,11 @@ impl<'a> SimCtx<'a> {
 
     /// The fault-free completion path shared by `wait` and `try_wait`.
     fn complete_wait(&mut self, h: ReduceHandle) -> Vec<f64> {
+        #[expect(clippy::expect_used, reason = "an unknown handle is a caller bug")]
         let mut vals = self
             .inflight
             .remove(&h.id)
-            .expect("wait on unknown or already-completed ReduceHandle"); // pscg-lint: allow(panic-in-hot-path, waiting on an unknown handle is a harness API-contract bug, not a runtime fault)
+            .expect("wait on unknown or already-completed ReduceHandle");
         if self.active_failure.is_some() {
             // A dead rank never contributes: the reduction can only
             // deliver poison, never a silently-wrong sum.
@@ -932,6 +938,7 @@ impl Context for SimCtx<'_> {
         });
     }
 
+    #[expect(clippy::float_cmp, reason = "sigma is set, never computed")]
     fn mpk(&mut self, pow: &mut MultiVector, from: usize, to: usize, sigma: f64) {
         if to <= from {
             return;
@@ -945,7 +952,6 @@ impl Context for SimCtx<'_> {
                 let (src, dst) = pow.col_pair_mut(j - 1, j);
                 self.a.spmv(src, dst);
             }
-            // pscg-lint: allow(float-eq, exact identity-scaling skip; sigma is a set parameter, not computed)
             if sigma != 1.0 {
                 pscg_sparse::kernels::scale(sigma, pow.col_mut(j));
                 self.charge_local(LocalKind::Vma, 1.0, 16.0);
@@ -1045,6 +1051,8 @@ impl Context for SimCtx<'_> {
         self.complete_wait(h)
     }
 
+    #[expect(clippy::expect_used, reason = "an unknown handle is a caller bug")]
+    #[expect(clippy::unwrap_used, reason = "the None case returned above")]
     fn try_wait(&mut self, h: ReduceHandle) -> WaitOutcome {
         if let Some(failure) = self.active_failure {
             // ULFM semantics: the wait raises the process failure instead
@@ -1054,7 +1062,7 @@ impl Context for SimCtx<'_> {
             let id = h.id;
             self.inflight
                 .remove(&id)
-                .expect("wait on unknown or already-completed ReduceHandle"); // pscg-lint: allow(panic-in-hot-path, waiting on an unknown handle is a harness API-contract bug, not a runtime fault)
+                .expect("wait on unknown or already-completed ReduceHandle");
             self.delayed.remove(&id);
             self.record(Op::ArTimeout {
                 id,
@@ -1087,7 +1095,6 @@ impl Context for SimCtx<'_> {
                 },
             };
         }
-        // pscg-lint: allow(panic-in-hot-path, the injector is Some here; the None case returned early above)
         match self.injector.as_mut().unwrap().completion_fate() {
             None => WaitOutcome::Done(self.complete_wait(h)),
             Some(CompletionFault::Drop) => {
@@ -1102,7 +1109,7 @@ impl Context for SimCtx<'_> {
                 let id = h.id;
                 self.inflight
                     .remove(&id)
-                    .expect("wait on unknown or already-completed ReduceHandle"); // pscg-lint: allow(panic-in-hot-path, waiting on an unknown handle is a harness API-contract bug, not a runtime fault)
+                    .expect("wait on unknown or already-completed ReduceHandle");
                 self.record(Op::ArTimeout {
                     id,
                     retriable: false,
@@ -1151,10 +1158,11 @@ impl Context for SimCtx<'_> {
     }
 
     fn peek_pending(&mut self, h: &ReduceHandle) -> Vec<f64> {
+        #[expect(clippy::expect_used, reason = "an unknown handle is a caller bug")]
         let vals = self
             .inflight
             .get(&h.id)
-            .expect("peek of unknown or already-completed ReduceHandle") // pscg-lint: allow(panic-in-hot-path, peeking an unknown handle is a harness API-contract bug, not a runtime fault)
+            .expect("peek of unknown or already-completed ReduceHandle")
             .clone();
         self.record(Op::RedRead { id: h.id });
         vals

@@ -25,6 +25,10 @@
 //! verify overlap schedules statically, without the machine model.
 
 #![warn(missing_docs)]
+// Hot path: no unwrap/expect/panic! outside tests, no hash container (DESIGN.md §14).
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::disallowed_types)]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "tests compare exact bits"))]
 
 pub mod collective;
 pub mod context;

@@ -14,6 +14,7 @@
 //!   exposed at the wait — reproducing the paper's requirement of DMAPP +
 //!   `MPICH_NEMESIS_ASYNC_PROGRESS=1` (§VI-A).
 
+#[expect(clippy::disallowed_types, reason = "keyed lookup, never iterated")]
 use std::collections::HashMap;
 
 use crate::machine::Machine;
@@ -40,7 +41,6 @@ pub struct ReplayResult {
 impl ReplayResult {
     /// Fraction of allreduce time hidden behind computation.
     pub fn overlap_fraction(&self) -> f64 {
-        // pscg-lint: allow(float-eq, exact-zero accumulator guard before division)
         if self.allreduce_total == 0.0 {
             0.0
         } else {
@@ -58,7 +58,9 @@ pub fn replay(trace: &OpTrace, machine: &Machine, p: usize) -> ReplayResult {
 
     let mut res = ReplayResult::default();
     let mut t = 0.0f64;
+    #[expect(clippy::disallowed_types, reason = "keyed lookup, never iterated")]
     let mut pending: HashMap<u64, f64> = HashMap::new(); // id -> completion or G
+    #[expect(clippy::disallowed_types, reason = "keyed lookup, never iterated")]
     let mut mpk_works: HashMap<(usize, usize), SpmvWork> = HashMap::new();
     // Straggler stretch factor on collective durations: an allreduce is only
     // as fast as its slowest participant, so one slowed rank stretches every
@@ -132,14 +134,15 @@ pub fn replay(trace: &OpTrace, machine: &Machine, p: usize) -> ReplayResult {
                 // the raw duration to expose at the wait (no progress).
                 pending.insert(id, if machine.async_progress { t + g } else { g });
             }
+            #[expect(clippy::expect_used, reason = "a missing ArPost means a corrupt trace")]
             Op::ArWait { id } => {
                 let stored = pending
                     .remove(&id)
-                    .expect("ArWait without matching ArPost in trace"); // pscg-lint: allow(panic-in-hot-path, a missing ArPost means a corrupt trace; replay has no sound continuation)
-                                                                        // `stored` is the absolute completion time (async progress)
-                                                                        // or the full duration exposed at the wait (no progress).
+                    .expect("ArWait without matching ArPost in trace");
+                // `stored` is the absolute completion time (async progress)
+                // or the full duration exposed at the wait (no progress).
                 let exposed = if machine.async_progress {
-                    (stored - t).max(0.0) // pscg-lint: allow(nan-clamp, clamps tiny negative float subtraction of finite trace times, never a reduction)
+                    (stored - t).max(0.0)
                 } else {
                     stored
                 };
@@ -161,11 +164,12 @@ pub fn replay(trace: &OpTrace, machine: &Machine, p: usize) -> ReplayResult {
             // handle — the posted cost stays in `allreduce_total` but is
             // never exposed; a delayed one leaves the handle pending for
             // the eventual successful wait.
+            #[expect(clippy::expect_used, reason = "a missing ArPost means a corrupt trace")]
             Op::ArTimeout { id, retriable } => {
                 if !retriable {
                     pending
                         .remove(&id)
-                        .expect("ArTimeout without matching ArPost in trace"); // pscg-lint: allow(panic-in-hot-path, a missing ArPost means a corrupt trace; replay has no sound continuation)
+                        .expect("ArTimeout without matching ArPost in trace");
                 }
             }
             Op::ResCheck { relres } => {

@@ -230,10 +230,11 @@ impl World {
 
     /// Panics if a peer rank has panicked: the collective or message this
     /// rank waits for may never come.
+    #[expect(clippy::panic, reason = "waiting on a dead peer would hang")]
     fn check_peers(&self) {
         let origin = self.poison.load(Ordering::Relaxed);
         if origin != 0 {
-            panic!("peer rank {} panicked", origin - 1); // pscg-lint: allow(panic-in-hot-path, a peer's panic ends the SPMD program; waiting on would hang run_spmd)
+            panic!("peer rank {} panicked", origin - 1);
         }
     }
 
@@ -271,7 +272,6 @@ impl World {
             i
         });
         let slot = &mut slots[i];
-        // pscg-lint: allow(panic-in-hot-path, double-posting is an engine protocol bug; this assert is its detection oracle)
         assert!(
             slot.bufs[rank].is_none(),
             "rank {rank} double-posted collective {seq}"
@@ -462,11 +462,12 @@ impl<'w> Endpoint<'w> {
 
     /// Waits for a posted allreduce.
     pub fn wait(&mut self, seq: u64) -> Vec<f64> {
+        #[expect(clippy::expect_used, reason = "an unposted wait would hang")]
         let entry = self
             .posted
             .iter_mut()
             .find(|(s, _)| *s == Some(seq))
-            .expect("wait on a collective this rank has not posted or has already waited"); // pscg-lint: allow(panic-in-hot-path, waiting an unposted collective is an engine API-contract bug that would otherwise hang)
+            .expect("wait on a collective this rank has not posted or has already waited");
         entry.0 = None;
         self.world.ar_wait(seq, self.rank)
     }
@@ -474,12 +475,13 @@ impl<'w> Endpoint<'w> {
     /// This rank's **local** contribution to a pending collective — what a
     /// buggy solver sees when it reads a reduction before waiting. Genuinely
     /// rank-dependent on `P > 1`, which is the point.
+    #[expect(clippy::expect_used, reason = "an unknown collective is a caller bug")]
     pub fn peek_pending(&self, seq: u64) -> Vec<f64> {
         self.posted
             .iter()
             .find(|(s, _)| *s == Some(seq))
             .map(|(_, v)| v.clone())
-            .expect("peek of unknown or already-completed collective") // pscg-lint: allow(panic-in-hot-path, peeking an unknown collective is an engine API-contract bug, not a runtime fault)
+            .expect("peek of unknown or already-completed collective")
     }
 
     /// Blocking allreduce.

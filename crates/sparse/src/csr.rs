@@ -93,7 +93,7 @@ fn nnz_balanced_rows(row_ptr: &[usize], chunk_nnz: usize) -> Vec<usize> {
             start_nnz = row_ptr[r + 1];
         }
     }
-    // pscg-lint: allow(panic-in-hot-path, bounds starts with the 0 pushed before the loop)
+    #[expect(clippy::unwrap_used, reason = "bounds starts with a pushed 0")]
     if *bounds.last().unwrap() != nrows {
         bounds.push(nrows);
     }
@@ -145,11 +145,11 @@ impl CsrMatrix {
                 vals.len()
             )));
         }
-        // pscg-lint: allow(panic-in-hot-path, row_ptr.len() == nrows + 1 >= 1 was checked just above)
+        #[expect(clippy::unwrap_used, reason = "row_ptr is non-empty, checked above")]
         if *row_ptr.last().unwrap() != col_idx.len() {
             return Err(SparseError::InvalidCsr(format!(
                 "row_ptr[nrows] = {} != nnz = {}",
-                row_ptr.last().unwrap(), // pscg-lint: allow(panic-in-hot-path, row_ptr.len() == nrows + 1 >= 1 was checked just above)
+                row_ptr.last().unwrap(),
                 col_idx.len()
             )));
         }
@@ -186,7 +186,8 @@ impl CsrMatrix {
     /// # Panics
     /// When `n` exceeds `u32::MAX` (the column index type).
     pub fn identity(n: usize) -> Self {
-        let cols = u32::try_from(n).expect("identity: n exceeds the u32 column index"); // pscg-lint: allow(panic-in-hot-path, documented panic of an infallible convenience constructor)
+        #[expect(clippy::expect_used, reason = "documented panic (see # Panics)")]
+        let cols = u32::try_from(n).expect("identity: n exceeds the u32 column index");
         CsrMatrix::assemble(n, n, (0..=n).collect(), (0..cols).collect(), vec![1.0; n])
     }
 

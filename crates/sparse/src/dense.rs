@@ -115,7 +115,6 @@ impl DenseMatrix {
         for i in 0..self.nrows {
             for k in 0..self.ncols {
                 let a = self.get(i, k);
-                // pscg-lint: allow(float-eq, exact sparsity skip; only a stored zero is skippable)
                 if a == 0.0 {
                     continue;
                 }
@@ -232,7 +231,6 @@ impl DenseMatrix {
                     p = r;
                 }
             }
-            // pscg-lint: allow(float-eq, an exactly-zero pivot is the singularity being excluded)
             if best == 0.0 || !best.is_finite() {
                 return Err(SparseError::SingularMatrix { pivot: k });
             }

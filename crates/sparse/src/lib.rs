@@ -21,12 +21,13 @@
 //!   analysis, feeding the distributed-memory model.
 //! * [`io`] — Matrix Market reading and writing.
 
-// Indexed loops are the clearer idiom for the numerical kernels here
-// (triangular sweeps, stencil assembly); the iterator rewrites clippy
-// suggests obscure the row/column structure.
-#![allow(clippy::needless_range_loop)]
+#![allow(clippy::needless_range_loop, reason = "indexing shows the row layout")]
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
+// Hot path: no unwrap/expect/panic! outside tests, no hash container (DESIGN.md §14).
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::disallowed_types)]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "tests compare exact bits"))]
 
 pub mod coo;
 pub mod csr;

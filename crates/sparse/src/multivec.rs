@@ -161,7 +161,6 @@ impl MultiVector {
                 // accumulation chain (bitwise-equal results).
                 for k in 0..other_cols {
                     let coef = b.get(k, j);
-                    // pscg-lint: allow(float-eq, exact sparsity skip keeping accumulation chains bitwise-equal)
                     if coef == 0.0 {
                         continue;
                     }
@@ -188,7 +187,6 @@ impl MultiVector {
             // SAFETY: chunks are disjoint.
             let d = unsafe { dst.range(clo, chi) };
             for (k, &coef) in a.iter().enumerate() {
-                // pscg-lint: allow(float-eq, exact sparsity skip keeping accumulation chains bitwise-equal)
                 if coef == 0.0 {
                     continue;
                 }
@@ -213,7 +211,6 @@ impl MultiVector {
             // SAFETY: chunks are disjoint.
             let d = unsafe { dst.range(clo, chi) };
             for (k, &coef) in a.iter().enumerate() {
-                // pscg-lint: allow(float-eq, exact sparsity skip keeping accumulation chains bitwise-equal)
                 if coef == 0.0 {
                     continue;
                 }
@@ -262,7 +259,6 @@ impl MultiVector {
                 d.copy_from_slice(&src.col(off + j)[clo..chi]);
                 for k in 0..prev_cols {
                     let coef = b.get(k, j);
-                    // pscg-lint: allow(float-eq, exact sparsity skip keeping accumulation chains bitwise-equal)
                     if coef == 0.0 {
                         continue;
                     }
@@ -552,7 +548,6 @@ fn lincomb_rows<'c, const SUB: bool>(
         let mut g = 0;
         while k < nterms && g < 4 {
             let c = coef(k);
-            // pscg-lint: allow(float-eq, exact sparsity skip keeping accumulation chains bitwise-equal)
             if c != 0.0 {
                 (cs[g], xs[g]) = (c, col(k));
                 g += 1;
@@ -636,7 +631,6 @@ fn conjugate_tiled<'c>(
         let hi = (lo + step).min(rows);
         let len = hi - lo;
         for k in 0..s {
-            // pscg-lint: allow(float-eq, exact sparsity skip keeping accumulation chains bitwise-equal)
             if (0..s).any(|j| b.get(k, j) != 0.0) {
                 tile[k * len..(k + 1) * len].copy_from_slice(col(k, lo, hi));
             }
@@ -876,7 +870,6 @@ pub fn fused_recurrence_step_with(
 
     // The row-wise kernel needs every coefficient in play; an exact zero in
     // B (the first pass has B = 0) takes the tiled path, which skips it.
-    // pscg-lint: allow(float-eq, exact sparsity skip keeping accumulation chains bitwise-equal)
     let dense = s <= 4 && b.data().iter().all(|&v| v != 0.0);
     let block_rows = fused_block_rows(s);
     let chunk = knobs::gram_chunk_rows();
@@ -1042,7 +1035,8 @@ fn gram_chunked(
     // Ordered combine: start from chunk 0 (a lone chunk reproduces the
     // unchunked dot bitwise) and add the rest in chunk order.
     let mut it = partials.into_iter();
-    let mut g = it.next().unwrap(); // pscg-lint: allow(panic-in-hot-path, chunking always yields at least one partial)
+    #[expect(clippy::unwrap_used, reason = "chunking yields at least one partial")]
+    let mut g = it.next().unwrap();
     for p in it {
         for (gi, pi) in g.data_mut().iter_mut().zip(p.data()) {
             *gi += pi;

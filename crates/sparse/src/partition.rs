@@ -46,8 +46,9 @@ impl RowBlockPartition {
 
     /// Total number of rows.
     #[inline]
+    #[expect(clippy::unwrap_used, reason = "offsets always holds a leading 0")]
     pub fn nrows(&self) -> usize {
-        *self.offsets.last().unwrap() // pscg-lint: allow(panic-in-hot-path, offsets always holds at least the leading 0 pushed at construction)
+        *self.offsets.last().unwrap()
     }
 
     /// Row range `[lo, hi)` owned by `rank`.

@@ -65,9 +65,10 @@ impl Surrogate {
     }
 
     /// Generates the surrogate at full (paper) scale.
+    #[expect(clippy::expect_used, reason = "generate_scaled accepts scale 1.0")]
     pub fn generate(self) -> CsrMatrix {
         self.generate_scaled(1.0)
-            .expect("scale 1.0 is always valid") // pscg-lint: allow(panic-in-hot-path, scale 1.0 is accepted by generate_scaled for every profile)
+            .expect("scale 1.0 is always valid")
     }
 
     /// Generates the surrogate with each grid extent scaled by

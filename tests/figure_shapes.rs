@@ -145,6 +145,7 @@ fn fig5_shape_pipe_pscg_reaches_the_threshold_first() {
 }
 
 #[test]
+#[expect(clippy::float_cmp, reason = "no async progress: exactly zero")]
 fn ablation_async_progress_is_required_for_the_overlap() {
     let problem = problems::poisson125(&scale());
     let opts = paper_opts(problem.rtol);
