@@ -6,17 +6,18 @@
 //! ```
 //!
 //! Measures the hot paths of the s-step overlap window — SpMV, the blocked
-//! Gram product, one fused update sweep (`fused_update`), the whole
-//! in-place recurrence pass of a PIPE-PsCG iteration with its Gram packet
-//! (`fused_step`) and the Gram packet kernel alone (`gram_packet`) — on the
-//! 7-pt Poisson stencil at `N³` (default 256³, the CI perf-smoke problem),
-//! and one geometric-multigrid preconditioner apply (`mg_apply`) on the
-//! 125-pt 48³ operator whatever `--grid` says, each at every thread count
-//! in `--threads` (default `1,4`). SpMV, the last two recurrence kernels and
-//! `mg_apply` are reported with their computed GB/s: the cost model's bytes
-//! for SpMV (DESIGN.md §12), the unique columns moved for the recurrence
-//! kernels, and the cost model's bytes of every sparse product the V-cycle
-//! runs for `mg_apply`. Writes a JSON baseline (`--out`, default
+//! Gram product, the whole in-place recurrence pass of a PIPE-PsCG
+//! iteration with its Gram packet (`fused_step`) and the Gram packet kernel
+//! alone (`gram_packet`) — and PIPECG's fused recurrence sweep with its
+//! four dot products (`pipecg_step`, serial by design) on the 7-pt Poisson
+//! stencil at `N³` (default 256³, the CI perf-smoke problem), and one
+//! geometric-multigrid preconditioner apply (`mg_apply`) on the 125-pt 48³
+//! operator whatever `--grid` says, each at every thread count in
+//! `--threads` (default `1,4`). SpMV, the recurrence kernels and `mg_apply`
+//! are reported with their computed GB/s: the cost model's bytes for SpMV
+//! (DESIGN.md §12), the unique columns moved for the recurrence kernels,
+//! and the cost model's bytes of every sparse product the V-cycle runs for
+//! `mg_apply`. Writes a JSON baseline (`--out`, default
 //! `BENCH_kernels.json`).
 //!
 //! `--check` enforces the perf-smoke gate: parallel SpMV at the highest
@@ -50,6 +51,7 @@ use pscg_bench::perf_report::spmv_model_bytes_per_nnz;
 use pscg_obs::SpanKind;
 use pscg_par::{knobs, stats::PoolStats, Pool};
 use pscg_precond::multigrid::gmg;
+use pscg_sparse::kernels::{pipecg_sweep, PipecgVectors};
 use pscg_sparse::multivec::{
     fused_recurrence_step_with, gram_packet_with, GramPacketBuf, RecurrenceFamily,
 };
@@ -65,13 +67,13 @@ struct Cell {
     /// `spmv` only: the cost model's traffic per stored entry (DESIGN.md
     /// §12), the bytes behind its `gbps_computed`.
     bytes_per_nnz: Option<f64>,
-    /// `fused_step`, `gram_packet` and `mg_apply` only: the rows they ran
-    /// on (for `mg_apply`, of the fine level).
+    /// `fused_step`, `gram_packet`, `pipecg_step` and `mg_apply` only: the
+    /// rows they ran on (for `mg_apply`, of the fine level).
     rows: Option<usize>,
     /// Computed bytes over measured time: the model's bytes for `spmv` and
-    /// for each sparse product of `mg_apply`; for `fused_step` and
-    /// `gram_packet` each unique column counted once per direction it moves
-    /// (read, and written back if updated).
+    /// for each sparse product of `mg_apply`; for `fused_step`,
+    /// `gram_packet` and `pipecg_step` each unique column counted once per
+    /// direction it moves (read, and written back if updated).
     gbps_computed: Option<f64>,
 }
 
@@ -193,30 +195,20 @@ fn warm_up(pool: &Pool, a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Workload of one fused update sweep: `dst = src[:, 1..s+1] + prev·B`
-/// followed by one `col −= X·a` basis shift.
-fn fused_flops(n: usize, s: usize) -> u64 {
-    (2 * s * s * n + 2 * s * n) as u64
-}
-
 fn bench_all(cfg: &Config, a: &CsrMatrix) -> Vec<Cell> {
     let n = a.nrows();
     let s = cfg.s;
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin()).collect();
     let mut y = vec![0.0; n];
-    let cols: Vec<Vec<f64>> = (0..s + 1)
-        .map(|j| {
-            (0..n)
-                .map(|i| ((i * (j + 1)) as f64 * 0.01).cos())
-                .collect()
-        })
-        .collect();
-    let src = MultiVector::from_columns(&cols.iter().map(|c| c.as_slice()).collect::<Vec<_>>());
     let prev = {
-        let pc: Vec<&[f64]> = cols[..s].iter().map(|c| c.as_slice()).collect();
-        MultiVector::from_columns(&pc)
+        let mut m = MultiVector::zeros(n, s);
+        for j in 0..s {
+            for (i, v) in m.col_mut(j).iter_mut().enumerate() {
+                *v = ((i * (j + 1)) as f64 * 0.01).cos();
+            }
+        }
+        m
     };
-    let mut dst = MultiVector::zeros(n, s);
     let bmat = {
         let mut b = pscg_sparse::dense::DenseMatrix::zeros(s, s);
         for i in 0..s {
@@ -227,7 +219,15 @@ fn bench_all(cfg: &Config, a: &CsrMatrix) -> Vec<Cell> {
         b
     };
     let alpha: Vec<f64> = (0..s).map(|k| 0.1 + 0.05 * k as f64).collect();
-    let mut shift = vec![0.0; n];
+
+    // PIPECG's recurrence sweep over the whole vector length: `x, r, u, w,
+    // m, n, z, q, s, p`. Per row it does 8 VMAs and 4 dot products (24
+    // flops), reads 10 columns and writes 8 back.
+    let mut pipecg: Vec<Vec<f64>> = (0..10)
+        .map(|k| (0..n).map(|i| ((i + 7 * k) as f64 * 0.01).sin()).collect())
+        .collect();
+    let pc_fl = 24 * n as u64;
+    let pc_bytes = (18 * 8 * n) as f64;
 
     // The whole recurrence pass of one PIPE-PsCG iteration: both families,
     // in place, and the Gram packet of the new bases.
@@ -306,22 +306,37 @@ fn bench_all(cfg: &Config, a: &CsrMatrix) -> Vec<Cell> {
             gbps_computed: None,
         });
 
-        let fu_fl = fused_flops(n, s);
         let m = {
             let _sp = pscg_obs::span_arg(SpanKind::Bench, t as u64);
-            group.bench_flops("fused_update", (s * n) as u64, fu_fl, || {
-                dst.combine_window_with(&pool, std::hint::black_box(&src), 1, &prev, &bmat);
-                prev.gemv_sub_with(&pool, &alpha, std::hint::black_box(&mut shift));
+            group.bench_flops("pipecg_step", n as u64, pc_fl, || {
+                let [x, r, u, w, m, nv, z, q, s, p] = &mut pipecg[..] else {
+                    unreachable!("ten vectors");
+                };
+                let mut vecs = PipecgVectors {
+                    x,
+                    r,
+                    u,
+                    w,
+                    m,
+                    n: nv,
+                    z,
+                    q,
+                    s,
+                    p,
+                };
+                // α and β small enough that the vectors stay bounded over
+                // the repetitions.
+                std::hint::black_box(pipecg_sweep(std::hint::black_box(&mut vecs), 1e-3, 0.5));
             })
         };
         cells.push(Cell {
-            kernel: "fused_update",
+            kernel: "pipecg_step",
             threads: t,
             median_secs: m,
-            gflops: gflops_per_sec(fu_fl, m),
+            gflops: gflops_per_sec(pc_fl, m),
             bytes_per_nnz: None,
-            rows: None,
-            gbps_computed: None,
+            rows: Some(n),
+            gbps_computed: Some(pc_bytes / m / 1e9),
         });
 
         let m = {
@@ -452,7 +467,7 @@ fn write_json(
     let kernels = [
         "spmv",
         "gram",
-        "fused_update",
+        "pipecg_step",
         "fused_step",
         "gram_packet",
         "mg_apply",

@@ -2,11 +2,14 @@
 //!
 //! One *non-blocking* allreduce per iteration, overlapped with exactly one
 //! preconditioner application and one SPMV. The price is four extra
-//! recurrence vectors (`z, q, s, p` alongside `r, u, w, m, n`) updated by
-//! VMAs — the 22s FLOPs row of Table I — and the usual pipelined-CG rounding
-//! drift in the recurrence residual.
+//! recurrence vectors (`z, q, s, p` alongside `r, u, w, m, n`), carried by
+//! eight VMAs per iteration — the 22s FLOPs row of Table I — and the usual
+//! pipelined-CG rounding drift in the recurrence residual. The eight VMAs
+//! and the next iteration's four dot products run as one sweep over the
+//! rows ([`pscg_sim::pipecg_sweep`]), bitwise the twelve separate kernels.
 
 use pscg_sim::Context;
+use pscg_sparse::kernels::PipecgVectors;
 
 use crate::driver::{Driver, Scalars};
 use crate::resilience::gamma_breakdown;
@@ -37,14 +40,10 @@ pub fn solve<C: Context>(
     let mut gamma_old = 0.0;
     let mut alpha_old = 0.0;
 
+    // γ = (r, u), δ = (w, u), plus both residual norms — one payload,
+    // posted non-blocking. Later passes take it from the recurrence sweep.
+    let mut posted = pscg_sim::local_dots_ruw(ctx, &r, &u, &w);
     loop {
-        // γ = (r, u), δ = (w, u), plus both residual norms — one payload,
-        // posted non-blocking.
-        let lg = ctx.local_dot(&r, &u);
-        let ld = ctx.local_dot(&w, &u);
-        let lrr = ctx.local_dot(&r, &r);
-        let luu = ctx.local_dot(&u, &u);
-        let posted = [lg, ld, lrr, luu];
         let h = ctx.iallreduce(&posted);
         // Overlapped work: m = M⁻¹ w, n = A m.
         ctx.pc_apply(&w, &mut m);
@@ -77,15 +76,20 @@ pub fn solve<C: Context>(
             (beta, gamma / denom)
         };
 
-        // Recurrence updates (8 VMAs — the pipelining overhead).
-        ctx.aypx(beta, &n, &mut z);
-        ctx.aypx(beta, &m, &mut q);
-        ctx.aypx(beta, &w, &mut s);
-        ctx.aypx(beta, &u, &mut p);
-        ctx.axpy(alpha, &p, &mut drv.x);
-        ctx.axpy(-alpha, &s, &mut r);
-        ctx.axpy(-alpha, &q, &mut u);
-        ctx.axpy(-alpha, &z, &mut w);
+        // The recurrence updates and the next pass's local dots, one sweep.
+        let mut vecs = PipecgVectors {
+            x: &mut drv.x,
+            r: &mut r,
+            u: &mut u,
+            w: &mut w,
+            m: &m,
+            n: &n,
+            z: &mut z,
+            q: &mut q,
+            s: &mut s,
+            p: &mut p,
+        };
+        posted = pscg_sim::pipecg_sweep(ctx, &mut vecs, alpha, beta);
 
         gamma_old = gamma;
         alpha_old = alpha;

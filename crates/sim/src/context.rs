@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use pscg_obs as obs;
 use pscg_obs::SpanKind;
 use pscg_sparse::dense::DenseMatrix;
-use pscg_sparse::kernels;
+use pscg_sparse::kernels::{self, PipecgVectors};
 use pscg_sparse::multivec::{fused_recurrence_step, gram_packet, GramPacketBuf, RecurrenceFamily};
 use pscg_sparse::op::Operator;
 use pscg_sparse::{CsrMatrix, MultiVector};
@@ -296,22 +296,20 @@ pub trait Context {
     /// `y += a·x`.
     fn axpy(&mut self, a: f64, x: &[f64], y: &mut [f64]) {
         kernels::axpy(a, x, y);
-        let (bx, by) = (self.buf_of(x), self.buf_of(y));
-        self.charge_local_rw(LocalKind::Vma, 2.0, 24.0, [bx, by], by);
+        charge_vma(self, x, y);
     }
 
     /// `y = x + a·y`.
     fn aypx(&mut self, a: f64, x: &[f64], y: &mut [f64]) {
         kernels::aypx(a, x, y);
-        let (bx, by) = (self.buf_of(x), self.buf_of(y));
-        self.charge_local_rw(LocalKind::Vma, 2.0, 24.0, [bx, by], by);
+        charge_vma(self, x, y);
     }
 
     /// `z = x + a·y`.
     fn waxpy(&mut self, z: &mut [f64], a: f64, y: &[f64], x: &[f64]) {
         kernels::waxpy(z, a, y, x);
         let (bx, by, bz) = (self.buf_of(x), self.buf_of(y), self.buf_of(z));
-        self.charge_local_rw(LocalKind::Vma, 2.0, 24.0, [bx, by], bz);
+        charge_vma_rw(self, [bx, by], bz);
     }
 
     /// `y = x`.
@@ -331,8 +329,7 @@ pub trait Context {
     /// Local part of the dot product `xᵀy`; combine with an allreduce.
     fn local_dot(&mut self, x: &[f64], y: &[f64]) -> f64 {
         let _sp = obs::span(SpanKind::Dot);
-        let (bx, by) = (self.buf_of(x), self.buf_of(y));
-        self.charge_local_rw(LocalKind::Dot, 2.0, 16.0, [bx, by], BufId::ANON);
+        charge_dot(self, x, y);
         kernels::dot(x, y)
     }
 
@@ -525,6 +522,75 @@ pub trait Context {
         );
         x.dot_vec(v)
     }
+}
+
+/// The cost declaration of one VMA reading `reads` and writing `write`:
+/// 2 flops and 24 bytes per row (two operands read, one written).
+fn charge_vma_rw<C: Context + ?Sized>(ctx: &mut C, reads: [BufId; 2], write: BufId) {
+    ctx.charge_local_rw(LocalKind::Vma, 2.0, 24.0, reads, write);
+}
+
+/// The cost declaration of the in-place VMA `y ← f(x, y)`.
+fn charge_vma<C: Context + ?Sized>(ctx: &mut C, x: &[f64], y: &[f64]) {
+    let (bx, by) = (ctx.buf_of(x), ctx.buf_of(y));
+    charge_vma_rw(ctx, [bx, by], by);
+}
+
+/// The cost declaration of the local dot product `xᵀy`: 2 flops and 16
+/// bytes per row.
+fn charge_dot<C: Context + ?Sized>(ctx: &mut C, x: &[f64], y: &[f64]) {
+    let (bx, by) = (ctx.buf_of(x), ctx.buf_of(y));
+    ctx.charge_local_rw(LocalKind::Dot, 2.0, 16.0, [bx, by], BufId::ANON);
+}
+
+/// The local parts of PIPECG's four dot products `[r·u, w·u, r·r, u·u]`
+/// in one pass over `r`, `u` and `w` ([`kernels::dots_ruw`]); combine
+/// with an allreduce. Bitwise, and charged, as the four
+/// [`Context::local_dot`] calls it replaces, in that order, under one
+/// `Dot` span.
+pub fn local_dots_ruw<C: Context + ?Sized>(
+    ctx: &mut C,
+    r: &[f64],
+    u: &[f64],
+    w: &[f64],
+) -> [f64; 4] {
+    let _sp = obs::span(SpanKind::Dot);
+    for (x, y) in [(r, u), (w, u), (r, r), (u, u)] {
+        charge_dot(ctx, x, y);
+    }
+    kernels::dots_ruw(r, u, w)
+}
+
+/// One PIPECG recurrence pass with the local parts of the next pass's dot
+/// products, in one sweep over the rows under one `Combine` span
+/// ([`kernels::pipecg_sweep`]).
+///
+/// Numerically and trace-wise this is the sequence it replaces: the
+/// `aypx` calls `z, q, s, p` with `β`, the `axpy` calls `x += α·p`,
+/// `r −= α·s`, `u −= α·q`, `w −= α·z`, then the [`Context::local_dot`]
+/// calls `r·u, w·u, r·r, u·u` — every result bitwise, every charge op for
+/// op and in that order.
+pub fn pipecg_sweep<C: Context + ?Sized>(
+    ctx: &mut C,
+    v: &mut PipecgVectors<'_>,
+    alpha: f64,
+    beta: f64,
+) -> [f64; 4] {
+    let dots = {
+        let _sp = obs::span(SpanKind::Combine);
+        kernels::pipecg_sweep(v, alpha, beta)
+    };
+    let v = &*v;
+    for (x, y) in [(v.n, &*v.z), (v.m, v.q), (v.w, v.s), (v.u, v.p)] {
+        charge_vma(ctx, x, y);
+    }
+    for (x, y) in [(&*v.p, &*v.x), (v.s, v.r), (v.q, v.u), (v.z, v.w)] {
+        charge_vma(ctx, x, y);
+    }
+    for (x, y) in [(&*v.r, &*v.u), (v.w, v.u), (v.r, v.r), (v.u, v.u)] {
+        charge_dot(ctx, x, y);
+    }
+    dots
 }
 
 /// The cost declarations of one conjugation window
@@ -1674,5 +1740,72 @@ mod tests {
         let gm = ctx.local_gram(&q, &p);
         assert_eq!(gm.nrows(), 3);
         assert!(ctx.counters().dot_flops > 0.0);
+    }
+
+    #[test]
+    fn pipecg_sweep_is_the_twelve_calls_op_for_op() {
+        let (a, prof) = ctx_pair();
+        let n = a.nrows();
+        let vectors = || -> Vec<Vec<f64>> {
+            (0..10)
+                .map(|k| {
+                    (0..n)
+                        .map(|i| ((i * 7 + k * 3) % 11) as f64 * 0.1 - 0.5)
+                        .collect()
+                })
+                .collect()
+        };
+        let (alpha, beta) = (0.3, 0.7);
+
+        // The set-up dots, then one pass, as separate calls.
+        let mut ctx = SimCtx::traced(&a, Box::new(IdentityOp::new(n)), prof.clone());
+        let mut want = vectors();
+        let [x, r, u, w, m, nv, z, q, s, p] = &mut want[..] else {
+            unreachable!("ten vectors");
+        };
+        let mut want_dots = Vec::new();
+        for (x, y) in [(&*r, &*u), (w, u), (r, r), (u, u)] {
+            want_dots.push(ctx.local_dot(x, y));
+        }
+        ctx.aypx(beta, nv, z);
+        ctx.aypx(beta, m, q);
+        ctx.aypx(beta, w, s);
+        ctx.aypx(beta, u, p);
+        ctx.axpy(alpha, p, x);
+        ctx.axpy(-alpha, s, r);
+        ctx.axpy(-alpha, q, u);
+        ctx.axpy(-alpha, z, w);
+        for (x, y) in [(&*r, &*u), (w, u), (r, r), (u, u)] {
+            want_dots.push(ctx.local_dot(x, y));
+        }
+        let want_counters = *ctx.counters();
+        let want_ops = ctx.take_trace().unwrap().ops;
+
+        // The same through the two fused calls.
+        let mut ctx = SimCtx::traced(&a, Box::new(IdentityOp::new(n)), prof);
+        let mut got = vectors();
+        let [x, r, u, w, m, nv, z, q, s, p] = &mut got[..] else {
+            unreachable!("ten vectors");
+        };
+        let mut got_dots = local_dots_ruw(&mut ctx, r, u, w).to_vec();
+        let mut v = PipecgVectors {
+            x,
+            r,
+            u,
+            w,
+            m,
+            n: nv,
+            z,
+            q,
+            s,
+            p,
+        };
+        got_dots.extend(pipecg_sweep(&mut ctx, &mut v, alpha, beta));
+
+        assert_eq!(want, got);
+        assert_eq!(want_dots, got_dots);
+        assert_eq!(want_counters, *ctx.counters());
+        // Buffer ids included: both engines intern in order of first sight.
+        assert_eq!(want_ops, ctx.take_trace().unwrap().ops);
     }
 }

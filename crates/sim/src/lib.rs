@@ -43,7 +43,10 @@ pub use collective::{
     AllreduceModel, CommError, CommId, InflightTracker, RankFailure, ReduceTimeout,
     ScheduleViolation, WaitOutcome,
 };
-pub use context::{BuddyRecovery, Context, OpCounters, RecurrenceStep, ReduceHandle, SimCtx};
+pub use context::{
+    local_dots_ruw, pipecg_sweep, BuddyRecovery, Context, OpCounters, RecurrenceStep, ReduceHandle,
+    SimCtx,
+};
 pub use machine::Machine;
 pub use noise::NoiseModel;
 pub use profile::{Layout, MatrixProfile, SpmvWork};

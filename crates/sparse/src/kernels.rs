@@ -134,6 +134,155 @@ pub fn hadamard_f32(d: &[f32], x: &[f64], z: &mut [f64]) {
     }
 }
 
+/// The vectors of one PIPECG recurrence pass (Ghysels–Vanroose): the
+/// iterate `x`, the residual `r`, `u = M⁻¹r`, `w = A·u`, the overlapped
+/// products `m = M⁻¹w` and `n = A·m`, and the auxiliary recurrences
+/// `z, q, s, p`. Every slice has the same length.
+pub struct PipecgVectors<'a> {
+    /// Iterate.
+    pub x: &'a mut [f64],
+    /// Residual `r`.
+    pub r: &'a mut [f64],
+    /// Preconditioned residual `u = M⁻¹r`.
+    pub u: &'a mut [f64],
+    /// `w = A·u`.
+    pub w: &'a mut [f64],
+    /// `m = M⁻¹w` (read only).
+    pub m: &'a [f64],
+    /// `n = A·m` (read only).
+    pub n: &'a [f64],
+    /// `z = n + β·z`.
+    pub z: &'a mut [f64],
+    /// `q = m + β·q`.
+    pub q: &'a mut [f64],
+    /// `s = w + β·s`.
+    pub s: &'a mut [f64],
+    /// Search direction `p = u + β·p`.
+    pub p: &'a mut [f64],
+}
+
+/// The four dot products PIPECG posts per pass, `[r·u, w·u, r·r, u·u]`, in
+/// [`dot`]'s accumulation: per product, four lanes taking the elements at
+/// offsets 0–3 (mod 4), a tail lane for the last `len mod 4`, combined as
+/// `(a0 + a1) + (a2 + a3) + tail`.
+struct RuwDots {
+    lanes: [[f64; 4]; 4],
+    tail: [f64; 4],
+}
+
+impl RuwDots {
+    fn new() -> Self {
+        RuwDots {
+            lanes: [[0.0; 4]; 4],
+            tail: [0.0; 4],
+        }
+    }
+
+    #[inline(always)]
+    fn add(acc: &mut [f64; 4], r: f64, u: f64, w: f64) {
+        acc[0] += r * u;
+        acc[1] += w * u;
+        acc[2] += r * r;
+        acc[3] += u * u;
+    }
+
+    fn finish(&self) -> [f64; 4] {
+        let l = &self.lanes;
+        std::array::from_fn(|k| (l[0][k] + l[1][k]) + (l[2][k] + l[3][k]) + self.tail[k])
+    }
+}
+
+/// `[r·u, w·u, r·r, u·u]` in one pass over `r`, `u` and `w`; each entry is
+/// bitwise the [`dot`] of its pair.
+pub fn dots_ruw(r: &[f64], u: &[f64], w: &[f64]) -> [f64; 4] {
+    let len = r.len();
+    let (u, w) = (&u[..len], &w[..len]);
+    let chunks = len / 4 * 4;
+    let mut acc = RuwDots::new();
+    for i in (0..chunks).step_by(4) {
+        for (l, lane) in acc.lanes.iter_mut().enumerate() {
+            RuwDots::add(lane, r[i + l], u[i + l], w[i + l]);
+        }
+    }
+    for i in chunks..len {
+        RuwDots::add(&mut acc.tail, r[i], u[i], w[i]);
+    }
+    acc.finish()
+}
+
+/// One PIPECG recurrence pass and the next pass's dot products in one sweep
+/// over the rows. Per element, in this order:
+///
+/// * `z = n + β·z`, `q = m + β·q`, `s = w + β·s`, `p = u + β·p`;
+/// * `x += α·p`, `r += (−α)·s`, `u += (−α)·q`, `w += (−α)·z`;
+///
+/// then the new `r`, `u`, `w` feed `[r·u, w·u, r·r, u·u]`, which it returns.
+///
+/// Every vector is bitwise what four [`aypx`] and four [`axpy`] calls give,
+/// and every dot bitwise the [`dot`] of its pair after them: each element
+/// keeps its expression, and each product its lane. It reads 10 columns and
+/// writes 8, where the twelve separate sweeps move 32.
+pub fn pipecg_sweep(v: &mut PipecgVectors<'_>, alpha: f64, beta: f64) -> [f64; 4] {
+    let len = v.x.len();
+    let PipecgVectors {
+        x,
+        r,
+        u,
+        w,
+        m,
+        n,
+        z,
+        q,
+        s,
+        p,
+    } = v;
+    let (x, r, u, w) = (&mut x[..len], &mut r[..len], &mut u[..len], &mut w[..len]);
+    let (m, n) = (&m[..len], &n[..len]);
+    let (z, q, s, p) = (&mut z[..len], &mut q[..len], &mut s[..len], &mut p[..len]);
+    let neg = -alpha;
+    // Row `i` of the pass over the named vectors, returning the new
+    // `(r, u, w)`. A macro, not a closure, so that the body inlines into
+    // both loops and the block loop indexes by constants.
+    macro_rules! row {
+        ([$x:ident, $r:ident, $u:ident, $w:ident, $m:ident, $n:ident,
+          $z:ident, $q:ident, $s:ident, $p:ident], $i:expr) => {{
+            let i = $i;
+            $z[i] = $n[i] + beta * $z[i];
+            $q[i] = $m[i] + beta * $q[i];
+            $s[i] = $w[i] + beta * $s[i];
+            $p[i] = $u[i] + beta * $p[i];
+            $x[i] += alpha * $p[i];
+            $r[i] += neg * $s[i];
+            $u[i] += neg * $q[i];
+            $w[i] += neg * $z[i];
+            ($r[i], $u[i], $w[i])
+        }};
+    }
+    let mut acc = RuwDots::new();
+    let blocks = x
+        .chunks_exact_mut(4)
+        .zip(r.chunks_exact_mut(4))
+        .zip(u.chunks_exact_mut(4))
+        .zip(w.chunks_exact_mut(4))
+        .zip(m.chunks_exact(4))
+        .zip(n.chunks_exact(4))
+        .zip(z.chunks_exact_mut(4))
+        .zip(q.chunks_exact_mut(4))
+        .zip(s.chunks_exact_mut(4))
+        .zip(p.chunks_exact_mut(4));
+    for (((((((((xb, rb), ub), wb), mb), nb), zb), qb), sb), pb) in blocks {
+        for (l, lane) in acc.lanes.iter_mut().enumerate() {
+            let (ri, ui, wi) = row!([xb, rb, ub, wb, mb, nb, zb, qb, sb, pb], l);
+            RuwDots::add(lane, ri, ui, wi);
+        }
+    }
+    for i in len / 4 * 4..len {
+        let (ri, ui, wi) = row!([x, r, u, w, m, n, z, q, s, p], i);
+        RuwDots::add(&mut acc.tail, ri, ui, wi);
+    }
+    acc.finish()
+}
+
 /// Maximum absolute difference between two vectors.
 pub fn max_abs_diff(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
